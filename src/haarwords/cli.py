@@ -2,7 +2,8 @@
 
 One subcommand per library area; every run emits a single JSON document
 (or a CSV table) on stdout.  Exit codes: 0 success, 2 validation error,
-3 resource-cap error, 4 theorem-violation (a guaranteed identity failed).
+3 resource-cap or convergence error, 4 theorem-violation (a guaranteed
+identity failed).
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import ResourceCapError, TheoremViolationError, ValidationError
+from .errors import (ConvergenceError, ResourceCapError, TheoremViolationError,
+                     ValidationError)
 from .freegroup import Word, parse_word
 from .symgroup import Partition
 
@@ -159,6 +161,10 @@ def _cmd_strongconv(args):
 def _cmd_rwalk(args):
     from . import rwalk
 
+    if args.r < 1:
+        raise ValidationError(f"--r must be >= 1, got {args.r}")
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be >= 1, got {args.samples}")
     if args.measure == "uniform-gen":
         mu = rwalk.WalkMeasure.uniform_generators(args.r)
     elif args.measure == "lazy-uniform":
@@ -205,8 +211,13 @@ def _cmd_dims(args):
     from . import montecarlo
     from .symgroup import partitions_of
 
+    if args.n < 1:
+        raise ValidationError(f"--n must be >= 1, got {args.n}")
     rows = []
     worst_margin = math.inf
+    classifier_ok = True
+    if args.A is not None:
+        threshold = montecarlo.DIM_LOWER_BOUND_CONSTANT * args.n ** args.A
     for total in range(0, args.l1_cap + 1):
         for k in range(total + 1):
             for lam in partitions_of(k):
@@ -219,20 +230,9 @@ def _cmd_dims(args):
                                        rec["log_dim"] - rec["log_lower"],
                                        rec["log_upper"] - rec["log_dim"])
                     rows.append(rec["passed"])
-    classifier_ok = True
-    if args.A is not None:
-        threshold = montecarlo.DIM_LOWER_BOUND_CONSTANT * args.n ** args.A
-        for total in range(0, args.l1_cap + 1):
-            for k in range(total + 1):
-                for lam in partitions_of(k):
-                    for mu in partitions_of(total - k):
-                        if lam.length + mu.length > args.n:
-                            continue
-                        weight = montecarlo.mixed_weight(lam, mu, args.n)
-                        hw = montecarlo.HighestWeight(weight)
-                        dim = montecarlo.weyl_dim(hw, args.n)
-                        if montecarlo._log_int(dim) < threshold and hw.l1() > args.n ** args.A:
-                            classifier_ok = False
+                    if (args.A is not None and rec["log_dim"] < threshold
+                            and rec["l1"] > args.n ** args.A):
+                        classifier_ok = False
     _emit_json({"n": args.n, "l1_cap": args.l1_cap, "count": len(rows),
                 "all_passed": all(rows), "worst_log_margin": worst_margin,
                 "classifier_ok": classifier_ok, "A": args.A, "type": "float"})
@@ -343,6 +343,9 @@ def run(argv):
         return EXIT_VALIDATION
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except ConvergenceError as exc:
+        print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by the whole package.
 
 The CLI maps these onto exit codes: validation problems exit 2, resource
-caps exit 3, and theorem violations exit 4, so CI can tell "the input was
+caps and convergence failures exit 3, and theorem violations exit 4, so CI can tell "the input was
 bad" apart from "a guaranteed identity failed numerically".
 """
 

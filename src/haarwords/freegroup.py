@@ -85,17 +85,6 @@ class Word:
             out = out * base
         return out
 
-    def conjugate_by(self, v):
-        """v * self * v^-1."""
-        return v * self * v.inverse()
-
-    def exponent_sums(self):
-        """Total signed exponent of each generator, as a tuple of length rank."""
-        sums = [0] * self.rank
-        for x in self.letters:
-            sums[abs(x) - 1] += 1 if x > 0 else -1
-        return tuple(sums)
-
     def format(self):
         chars = []
         for x in self.letters:

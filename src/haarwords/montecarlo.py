@@ -149,7 +149,9 @@ def weyl_dim(weight, n=None):
         for j in range(i + 1, n):
             num *= (j - i) + entries[i] - entries[j]
             den *= j - i
-    assert num % den == 0
+    if num % den:
+        raise TheoremViolationError(
+            f"Weyl dimension {num}/{den} is not an integer", details={"weight": list(entries)})
     return num // den
 
 
@@ -383,16 +385,15 @@ def word_representation(w, unitaries, k, l):
 
 @lru_cache(maxsize=None)
 def _perm_gram_inverse(kfact_perms, n):
-    sigmas = list(kfact_perms)
-    size = len(sigmas)
-    gram = [[Fraction(n) ** perms.num_cycles(perms.compose(s, perms.inverse(t)))
-             for t in sigmas] for s in sigmas]
-    from .ratfunc import solve_exact
-    cols = []
-    for j in range(size):
-        rhs = [Fraction(1 if i == j else 0) for i in range(size)]
-        cols.append(solve_exact(gram, rhs))
-    return np.array([[float(cols[j][i]) for j in range(size)] for i in range(size)])
+    """Inverse of the Gram matrix n^#cycles(s t^-1) of the permutation
+    tensors, which is by definition the Weingarten matrix Wg(s t^-1)."""
+    k = len(kfact_perms[0])
+    if n < k:
+        raise ValidationError(
+            f"need n >= k = {k}: the permutation tensors are dependent below that")
+    nf = Fraction(n)
+    return np.array([[float(weingarten.wg(k, perms.compose(s, perms.inverse(t)))(nf))
+                      for t in kfact_perms] for s in kfact_perms])
 
 
 def _perm_vector(sigma, n, k):

@@ -34,10 +34,6 @@ class Polynomial:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, c):
-        return cls((c,))
-
-    @classmethod
     def x(cls):
         return cls((0, 1))
 
@@ -281,10 +277,6 @@ class RationalFunction:
         if d == 0:
             raise ZeroDivisionError(f"pole at {x}")
         return self.num(x) / d
-
-    def derivative(self):
-        return RationalFunction(self.num.derivative() * self.den - self.num * self.den.derivative(),
-                                self.den * self.den)
 
     def valuation_at_infinity(self):
         """deg(den) - deg(num); decay exponent at infinity.  inf if zero."""

@@ -242,44 +242,6 @@ class SpectralRadiusBracket:
                 "details": self.details, "type": "float"}
 
 
-def _schur_upper_bound(measure, s_grid=None, a_grid=None, d_max=600):
-    """Rigorous Schur-test upper bound for the norm of the convolution
-    operator of a symmetric measure, using radial weights (d + a) s^d.
-
-    For any positive weight F the norm is at most
-    sup_g sum_h mu(g^-1 h) F(h)/F(g); here each support word of length l
-    is bounded through its worst-case distance displacement in
-    [|d - l|, d + l], conservative but valid for any symmetric measure."""
-    q = max(2 * measure.rank - 1, 2)
-    if s_grid is None:
-        center = 1.0 / math.sqrt(q)
-        s_grid = np.geomspace(center * 0.7, min(0.999, center * 1.4), 40)
-    if a_grid is None:
-        a_grid = np.linspace(0.5, 10.0, 20)
-    items = [(len(w), float(p)) for w, p in measure.support.items()]
-    best = math.inf
-    for s in s_grid:
-        log_s = math.log(s)
-        for a in a_grid:
-            def f(d):
-                return (d + a) * math.exp(d * log_s)
-
-            worst = 0.0
-            for d in range(0, d_max + 1):
-                total = 0.0
-                for ell, p in items:
-                    if ell == 0:
-                        total += p
-                        continue
-                    lo = abs(d - ell)
-                    total += p * max(f(dd) / f(d) for dd in range(lo, d + ell + 1))
-                worst = max(worst, total)
-            limit = sum(p * math.exp(ell * abs(log_s)) for ell, p in items)
-            worst = max(worst, limit)
-            best = min(best, worst)
-    return best
-
-
 def _radial_schur_upper(measure, d_max=2000):
     """Specialized exact Schur bound for radial nearest-neighbor measures:
     with weight f(d) = (d + a) s^d the sup over base points is explicit."""
@@ -302,21 +264,22 @@ def _radial_schur_upper(measure, d_max=2000):
 def spectral_radius(measure, dp_steps=800, ball_radius=None):
     """Bracket for the spectral radius: even-step return probabilities give
     monotone lower bounds, ball-compression Rayleigh quotients another
-    lower bound, and a Schur-test radial weight gives a rigorous upper
-    bound.  Returned as an interval, never a point estimate."""
+    lower bound.  The upper bound is a Schur test with a radial weight for
+    radial nearest-neighbour measures and the l1 norm of the measure
+    otherwise.  Returned as an interval, never a point estimate."""
     if not measure.symmetric:
         raise ValidationError("spectral radius bracketing needs a symmetric measure")
     details = {}
     if measure.is_radial_nearest_neighbor():
         probs = _radial_return_probabilities(measure, dp_steps, exact=False)
         upper = _radial_schur_upper(measure)
+        details["schur_upper"] = upper
     else:
         history = _convolve_distribution(measure, GENERAL_CONVOLUTION_STEP_CAP,
                                          cap=100_000, stop_at_cap=True)
         e = Word((), measure.rank)
         probs = [float(h.get(e, Fraction(0))) for h in history]
-        l1 = float(sum(measure.support.values()))
-        upper = min(_schur_upper_bound(measure), l1)
+        upper = float(sum(measure.support.values()))
     lowers = [(probs[m]) ** (1.0 / m) for m in range(2, len(probs), 2) if probs[m] > 0]
     lower_dp = max(lowers) if lowers else 0.0
     details["return_probability_lower"] = lower_dp
@@ -336,7 +299,6 @@ def spectral_radius(measure, dp_steps=800, ball_radius=None):
         details["ball_radius"] = ball_radius
     except ResourceCapError:
         pass
-    details["schur_upper"] = upper
 
     lower = max(lower_dp, lower_ball)
     if lower > upper + 1e-9:

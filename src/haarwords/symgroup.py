@@ -126,10 +126,6 @@ def partitions_of(k, cap=PARTITION_ENUMERATION_CAP):
     return out
 
 
-def partition_count(k):
-    return len(partitions_of(k, cap=max(k, PARTITION_ENUMERATION_CAP)))
-
-
 def cycle_type_order(rho):
     """z_rho = prod_j j^{m_j} m_j!, the centralizer order of the class."""
     z = 1

@@ -258,11 +258,6 @@ def central_projection_element(lam):
     return SymAlgebraElement(lam.size, central_projection(lam))
 
 
-def wg_element(m):
-    """The Weingarten function as a central group-algebra element of S_m."""
-    return SymAlgebraElement(m, {pi: wg(m, pi) for pi in perms.all_perms(m)})
-
-
 def z_element(lam, mu):
     """The group-algebra element whose image under the tensor action gives,
     after scaling by the mixed-irrep dimension, the orthogonal projector

@@ -104,29 +104,18 @@ def slot_families(monomial):
     return plus, minus, nvars
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, size):
-        self.parent = list(range(size))
-
-    def find(self, a):
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def _moment_term_table(monomial, max_occurrence):
     """Group the Weingarten expansion by (per-generator cycle types, loop
     count): the result maps those keys to integer multiplicities and does
-    not depend on n, so repeated evaluations at many n are cheap."""
+    not depend on n, so repeated evaluations at many n are cheap.
+
+    Every index variable is the outgoing end of exactly one slot: the row
+    of a plus slot or the column of a minus slot.  A pairing (sigma, tau)
+    per generator therefore defines a permutation f of the variables,
+    f[row of plus slot s] = row of minus slot sigma(s) and
+    f[col of minus slot tau(s)] = col of plus slot s, with the variables
+    of empty factors fixed; the closed loops are the cycles of f.
+    """
     plus, minus, nvars = slot_families(monomial)
     gens = sorted(set(plus) | set(minus))
     for g in gens:
@@ -136,22 +125,25 @@ def _moment_term_table(monomial, max_occurrence):
             raise UnsupportedSizeError(
                 f"generator x{g} occurs {len(plus[g])} times, cap is {max_occurrence}")
     degrees = [len(plus[g]) for g in gens]
+    # Per generator and (sigma, tau): the cycle type of sigma tau^-1 and
+    # the (variable, image) assignments the pairing makes in f.
+    choices = []
+    for g, p in zip(gens, degrees):
+        pslots, mslots = plus[g], minus[g]
+        options = []
+        for sigma, tau in itertools.product(perms.all_perms(p), perms.all_perms(p)):
+            ct = perms.cycle_type(perms.compose(sigma, perms.inverse(tau)))
+            arrows = ([(row, mslots[sigma[s]][0]) for s, (row, _) in enumerate(pslots)]
+                      + [(mslots[tau[s]][1], col) for s, (_, col) in enumerate(pslots)])
+            options.append((ct, arrows))
+        choices.append(options)
     table = {}
-    choices = [list(itertools.product(perms.all_perms(p), perms.all_perms(p)))
-               for p in degrees]
+    f = list(range(nvars))
     for combo in itertools.product(*choices):
-        uf = _UnionFind(nvars)
-        cts = []
-        for gi, (sigma, tau) in enumerate(combo):
-            g = gens[gi]
-            pslots, mslots = plus[g], minus[g]
-            for s, (row, _) in enumerate(pslots):
-                uf.union(row, mslots[sigma[s]][0])
-            for s, (_, col) in enumerate(pslots):
-                uf.union(col, mslots[tau[s]][1])
-            cts.append(perms.cycle_type(perms.compose(sigma, perms.inverse(tau))))
-        loops = len({uf.find(v) for v in range(nvars)})
-        key = (tuple(cts), loops)
+        for _, arrows in combo:
+            for v, image in arrows:
+                f[v] = image
+        key = (tuple(ct for ct, _ in combo), perms.num_cycles(f))
         table[key] = table.get(key, 0) + 1
     return table, tuple(degrees)
 

@@ -1,6 +1,9 @@
 import json
 
-from haarwords import cli
+import pytest
+
+from haarwords import cli, montecarlo
+from haarwords.errors import ConvergenceError
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +98,28 @@ def test_validation_exit_codes(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "expect", "--word", "abAB", "--lambda", "5", "--n", "9")
     assert code == 3
+
+
+def _no_convergence(*args, **kwargs):
+    raise ConvergenceError("power iteration did not settle")
+
+
+@pytest.mark.parametrize("argv,patch,expected", [
+    (["rwalk", "--samples", "0"], None, 2),
+    (["rwalk", "--r", "0"], None, 2),
+    (["dims", "--n", "0"], None, 2),
+    (["strongconv", "--r", "2", "--n", "1", "--k", "2", "--l", "2",
+      "--poly", "a+A+b+B", "--reference", "3.4641016"], None, 2),
+    (["strongconv", "--r", "2", "--n", "5", "--k", "1", "--l", "0",
+      "--poly", "a+A+b+B", "--reference", "3.4641016"], _no_convergence, 3),
+], ids=["rwalk-samples-0", "rwalk-r-0", "dims-n-0", "strongconv-n-below-k",
+        "strongconv-no-convergence"])
+def test_failures_end_with_mapped_exit_code(capsys, monkeypatch, argv, patch, expected):
+    if patch is not None:
+        monkeypatch.setattr(montecarlo, "estimate_norm", patch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected
+    assert out == "" and err.strip()
 
 
 def test_selftest_small_sample(capsys):

@@ -92,6 +92,7 @@ def test_spectral_radius_kesten():
     kesten = math.sqrt(3) / 2
     assert bracket.lower <= kesten <= bracket.upper
     assert bracket.width() < 0.05
+    assert bracket.details["schur_upper"] == bracket.upper
     probs = rwalk._radial_return_probabilities(mu, 40)
     for n in range(41):
         assert float(probs[n]) <= bracket.upper ** n + 1e-12
@@ -109,7 +110,8 @@ def test_spectral_radius_general_measure_brackets():
     general = rwalk.WalkMeasure({ab: q, ab.inverse(): q, ba: q, ba.inverse(): q},
                                 rank=2)
     bracket = rwalk.spectral_radius(general)
-    assert 0 < bracket.lower <= bracket.upper <= 1.0 + 1e-9
+    assert 0 < bracket.lower <= bracket.upper == 1.0
+    assert "schur_upper" not in bracket.details
 
 
 def test_ball_compression_monotone():

@@ -5,11 +5,12 @@ import pytest
 
 from haarwords import freegroup as fg
 from haarwords import wordint as wi
+from haarwords.montecarlo import mixed_dimension
 from haarwords.bounds import g_polynomial
 from haarwords.errors import (TheoremViolationError, UnsupportedSizeError,
                               ValidationError)
 from haarwords.ratfunc import Polynomial, RationalFunction
-from haarwords.symgroup import Partition, schur_dim_poly
+from haarwords.symgroup import Partition, partitions_of, schur_dim_poly
 
 A = fg.parse_word("a")
 B = fg.parse_word("b")
@@ -78,6 +79,36 @@ def test_commutator_matches_frobenius_formula(lam):
     lam = Partition(lam)
     expected = RationalFunction(Polynomial((1,))) / schur_dim_poly(lam)
     assert wi.expect_stable_character(lam, (), COMM) == expected
+
+
+def _mixed_labels(max_boxes):
+    """Every (lambda, mu) with 1 <= |lambda| + |mu| <= max_boxes."""
+    return [(lam, mu)
+            for total in range(1, max_boxes + 1)
+            for k in range(total + 1)
+            for lam in partitions_of(k)
+            for mu in partitions_of(total - k)]
+
+
+@pytest.mark.parametrize("lam,mu", _mixed_labels(3),
+                         ids=lambda p: ",".join(map(str, p.parts)) or "0")
+def test_commutator_mixed_character_is_inverse_dimension(lam, mu):
+    # Frobenius/Mednykh: the commutator integrates every irreducible
+    # character of U(n) to 1/dimension; the Weyl dimension is computed
+    # without the term table
+    for n in (4, 5):
+        expected = Fraction(1, mixed_dimension(lam, mu, n))
+        assert wi.expect_stable_character(lam, mu, COMM, n=n) == expected
+
+
+@pytest.mark.parametrize("word", ["ab", "aab"])
+def test_primitive_word_integrates_characters_to_zero(word):
+    # a primitive word map pushes Haar measure to Haar measure, so every
+    # nontrivial irreducible character integrates to 0
+    w = fg.parse_word(word)
+    for lam, mu in _mixed_labels(4):
+        for n in (4, 5):
+            assert wi.expect_stable_character(lam, mu, w, n=n) == 0
 
 
 def test_conjugation_invariance():
