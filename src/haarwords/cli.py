@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from .errors import (ConvergenceError, ResourceCapError, TheoremViolationError,
                      ValidationError)
@@ -103,13 +102,12 @@ def _cmd_wg(args):
     from . import weingarten
 
     ct = tuple(int(p) for p in args.cycle_type.split(","))
-    rf = weingarten.wg(args.L, ct)
     out = {"L": args.L, "cycle_type": list(ct)}
     if args.n is not None:
         out["n"] = args.n
-        out["value"] = str(rf(Fraction(args.n)))
+        out["value"] = str(weingarten.wg_value(args.L, ct, args.n))
     else:
-        out["symbolic"] = rf.to_json()
+        out["symbolic"] = weingarten.wg(args.L, ct).to_json()
     _emit_json(out)
     return EXIT_OK
 
@@ -346,6 +344,11 @@ def run(argv):
         return EXIT_RESOURCE
     except ConvergenceError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except OverflowError as exc:
+        print(f"float overflow: {exc}; the float grid overflows at this size "
+              "(e.g. the g_L coefficients of `bounds gcheck` for large L)",
+              file=sys.stderr)
         return EXIT_RESOURCE
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)

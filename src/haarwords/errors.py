@@ -44,7 +44,8 @@ class TheoremViolationError(AssertionError):
 
 
 class StructureViolationError(TheoremViolationError):
-    """Exact interpolation residuals that should vanish did not."""
+    """The exact expectation breaks its guaranteed rational form: g_L
+    leaves a remainder, or a fixed-n residual that should vanish did not."""
 
 
 class ConvergenceError(RuntimeError):

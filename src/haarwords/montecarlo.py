@@ -608,6 +608,8 @@ def strong_convergence_experiment(r, n, k, l, terms, samples, seed,
     """Sample Haar tuples, build the word-polynomial operator in the (k,l)
     tensor representation with invariants removed, and estimate its norm
     against a reduced-free-group reference value."""
+    if samples < 1:
+        raise ValidationError(f"need at least one sample, got {samples}")
     if n ** (k + l) > APPLY_VECTOR_CAP:
         raise ResourceCapError("tensor dimension exceeds apply cap")
     if reference is None:

@@ -1,6 +1,6 @@
 """Exact expectations of trace monomials and stable characters of word
-maps over tuples of independent Haar unitaries, plus exact reconstruction
-of the expectation as a rational function of 1/n by interpolation.
+maps over tuples of independent Haar unitaries, plus the exact
+pole-cleared polynomial g_L(x) E(1/x) in x = 1/n.
 
 The integration core enumerates, per generator, all pairings of row and
 column index slots (Weingarten calculus); each pairing contributes the
@@ -21,7 +21,7 @@ from . import perms
 from .errors import (StructureViolationError, TheoremViolationError,
                      UnsupportedSizeError, ValidationError)
 from .freegroup import Word, is_proper_power
-from .ratfunc import Polynomial, RationalFunction, solve_exact
+from .ratfunc import Polynomial, RationalFunction
 from .symgroup import Partition, koike_expand, powersum_schur_basechange
 from .weingarten import wg
 
@@ -235,7 +235,7 @@ class InterpolationReport:
     mu: Partition
     word: Word
     n_start: int
-    sample_points: list          # (n, exact E_n) pairs used in the solve
+    sample_points: list          # (n, exact E_n) pairs checked against the fit
     held_out_points: list        # (n, exact E_n) pairs used for verification
     degree_cap: int
     poly_coeffs: tuple           # Fractions, ascending in x = 1/n
@@ -278,14 +278,37 @@ def _taylor_of_quotient(p_coeffs, g_coeffs, terms):
     return out
 
 
+def _pole_cleared_polynomial(expectation, g, D):
+    """Coefficients of g(x) * E(1/x), exactly D + 1 of them, ascending in x.
+
+    With E = num/den in n, E(1/x) = x^(deg den - deg num) rev(num)/rev(den),
+    where rev reverses the coefficient list, so the product is one exact
+    division by rev(den).  A pole at x = 0 (deg num > deg den), a remainder
+    or a quotient above degree D contradicts the guaranteed rational form
+    and raises StructureViolationError.
+    """
+    num, den = expectation.num, expectation.den
+    shift = den.degree - num.degree
+    lifted = g * Polynomial((0,) * max(shift, 0) + num.coeffs[::-1])
+    quotient, remainder = lifted.divmod(Polynomial(den.coeffs[::-1]))
+    if shift < 0 or not remainder.is_zero() or quotient.degree > D:
+        raise StructureViolationError(
+            f"g_L(x) E(1/x) is not a polynomial of degree <= {D}",
+            details={"expectation": expectation.to_json(),
+                     "remainder": remainder.to_json(),
+                     "quotient_degree": quotient.degree})
+    return quotient.coeffs + (Fraction(0),) * (D - quotient.degree)
+
+
 def interpolate_phi(lam, mu, w, n_start=None, held_out=HELD_OUT_POINTS,
                     max_occurrence=OCCURRENCE_CAP):
-    """Sample E_n at enough consecutive n to pin down the polynomial
-    g_{Kq}(1/n) * E_n exactly, solve the Vandermonde system fraction-free,
-    and verify at held-out n that the residual is exactly zero.
+    """The polynomial g_{Kq}(x) * E(1/x) of degree at most D, exactly.
 
-    A nonzero held-out residual would contradict the guaranteed rational
-    form of the expectation, so it raises StructureViolationError.
+    It comes from the symbolic expectation by one exact division.  The
+    second route is the fixed-n Fraction sum: E_n at the D + 1 sample
+    points and at `held_out` further consecutive n must satisfy
+    P(1/n) = g(1/n) E_n exactly; any nonzero residual raises
+    StructureViolationError.  The held-out residuals go into the report.
     """
     from .bounds import g_polynomial
 
@@ -298,32 +321,31 @@ def interpolate_phi(lam, mu, w, n_start=None, held_out=HELD_OUT_POINTS,
     D = degree_bound(K, q)
     if n_start is None:
         n_start = max(L, K, 2)
+    if n_start < 1:
+        raise ValidationError(f"need n_start >= 1, got {n_start}")
     g = g_polynomial(L)
-    g_at = {}
-
-    def sample(n):
-        value = expect_stable_character(lam, mu, w, n=n, max_occurrence=max_occurrence)
-        g_at[n] = g(Fraction(1, n))
-        return value
-
-    ns = list(range(n_start, n_start + D + 1))
-    samples = [(n, sample(n)) for n in ns]
-    xs = [Fraction(1, n) for n in ns]
-    ys = [g_at[n] * v for n, v in samples]
-    rows = [[x**j for j in range(D + 1)] for x in xs]
-    coeffs = solve_exact(rows, ys)
+    expectation = expect_stable_character(lam, mu, w, n=None,
+                                          max_occurrence=max_occurrence)
+    coeffs = _pole_cleared_polynomial(expectation, g, D)
     poly = Polynomial(coeffs)
 
-    held_ns = list(range(n_start + D + 1, n_start + D + 1 + held_out))
-    held_samples = [(n, sample(n)) for n in held_ns]
-    residuals = []
-    for n, v in held_samples:
-        residuals.append(poly(Fraction(1, n)) - g_at[n] * v)
-    if any(r != 0 for r in residuals):
+    def checked(ns):
+        points, residuals = [], []
+        for n in ns:
+            value = expect_stable_character(lam, mu, w, n=n, max_occurrence=max_occurrence)
+            x = Fraction(1, n)
+            points.append((n, value))
+            residuals.append(poly(x) - g(x) * value)
+        return points, residuals
+
+    samples, sample_residuals = checked(range(n_start, n_start + D + 1))
+    held_samples, residuals = checked(range(n_start + D + 1, n_start + D + 1 + held_out))
+    if any(r != 0 for r in sample_residuals + residuals):
         raise StructureViolationError(
-            "held-out residuals are nonzero; the interpolation does not "
+            "fixed-n residuals are nonzero; the exact expectation does not "
             "match the guaranteed rational form",
-            details={"residuals": [str(r) for r in residuals]})
+            details={"sample_residuals": [str(r) for r in sample_residuals],
+                     "residuals": [str(r) for r in residuals]})
 
     order = poly.order_at_zero()
     v_funcs = _taylor_of_quotient(list(poly.coeffs), list(g.coeffs), K + 4)

@@ -112,8 +112,14 @@ def _no_convergence(*args, **kwargs):
       "--poly", "a+A+b+B", "--reference", "3.4641016"], None, 2),
     (["strongconv", "--r", "2", "--n", "5", "--k", "1", "--l", "0",
       "--poly", "a+A+b+B", "--reference", "3.4641016"], _no_convergence, 3),
+    (["wg", "--L", "2", "--cycle-type", "1,1", "--n", "1"], None, 2),
+    (["strongconv", "--r", "2", "--n", "5", "--k", "1", "--l", "0",
+      "--poly", "a+A", "--reference", "2", "--samples", "0"], None, 2),
+    (["bounds", "gcheck", "--L", "56", "--i", "2"], None, 3),
+    (["interp", "--word", "a", "--lambda", "1", "--n-start", "0"], None, 2),
 ], ids=["rwalk-samples-0", "rwalk-r-0", "dims-n-0", "strongconv-n-below-k",
-        "strongconv-no-convergence"])
+        "strongconv-no-convergence", "wg-n-below-L", "strongconv-samples-0",
+        "gcheck-float-overflow", "interp-n-start-0"])
 def test_failures_end_with_mapped_exit_code(capsys, monkeypatch, argv, patch, expected):
     if patch is not None:
         monkeypatch.setattr(montecarlo, "estimate_norm", patch)

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from haarwords import cli
 from haarwords import freegroup as fg
 from haarwords import wordint as wi
 from haarwords.montecarlo import mixed_dimension
 from haarwords.bounds import g_polynomial
-from haarwords.errors import (TheoremViolationError, UnsupportedSizeError,
-                              ValidationError)
-from haarwords.ratfunc import Polynomial, RationalFunction
+from haarwords.errors import (StructureViolationError, TheoremViolationError,
+                              UnsupportedSizeError, ValidationError)
+from haarwords.ratfunc import Polynomial, RationalFunction, solve_exact
 from haarwords.symgroup import Partition, partitions_of, schur_dim_poly
 
 A = fg.parse_word("a")
@@ -207,3 +208,56 @@ def test_report_json_round():
     assert blob["word"] == "abAB"
     assert blob["degree_cap"] == 29
     assert all(r == "0" for r in blob["residuals"])
+
+
+@pytest.mark.parametrize("word,lam", [("abAB", (1,)), ("aB", (2,))])
+def test_division_fit_matches_vandermonde_solve(word, lam):
+    # independent route: the (D+1) x (D+1) Vandermonde system in x = 1/n
+    # through the sample points, solved by Bareiss elimination
+    w = fg.parse_word(word)
+    rep = wi.interpolate_phi(lam, (), w)
+    assert rep.degree_cap == 29
+    g = g_polynomial(rep.K * len(w))
+    xs = [Fraction(1, n) for n, _ in rep.sample_points]
+    rows = [[x**j for j in range(rep.degree_cap + 1)] for x in xs]
+    rhs = [g(x) * v for x, (_, v) in zip(xs, rep.sample_points)]
+    expected = solve_exact(rows, rhs)
+    assert len(rep.poly_coeffs) == len(expected) == rep.degree_cap + 1
+    assert list(rep.poly_coeffs) == expected
+
+
+def test_uncleared_pole_raises_structure_violation(monkeypatch, capsys):
+    # give the symbolic expectation a pole at n = L + 1, which g_L does not
+    # clear; fixed-n values stay untouched
+    original = wi.expect_stable_character
+
+    def patched(lam, mu, w, n=None, max_occurrence=wi.OCCURRENCE_CAP):
+        value = original(lam, mu, w, n=n, max_occurrence=max_occurrence)
+        if n is not None:
+            return value
+        L = (sum(lam) + sum(mu)) * len(w)
+        return value + RationalFunction(Polynomial((1,)), Polynomial((-(L + 1), 1)))
+
+    monkeypatch.setattr(wi, "expect_stable_character", patched)
+    with pytest.raises(StructureViolationError):
+        wi.interpolate_phi((1,), (), COMM)
+    code = cli.run(["interp", "--word", "abAB", "--lambda", "1"])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == "" and "theorem violation" in err
+
+
+def test_wrong_sample_value_raises_structure_violation(monkeypatch):
+    # the division does not use the sample points, so each one is checked
+    # against the fit: corrupt a single one
+    original = wi.expect_stable_character
+    bad_n = 6
+
+    def patched(lam, mu, w, n=None, max_occurrence=wi.OCCURRENCE_CAP):
+        value = original(lam, mu, w, n=n, max_occurrence=max_occurrence)
+        return value + 1 if n == bad_n else value
+
+    monkeypatch.setattr(wi, "expect_stable_character", patched)
+    with pytest.raises(StructureViolationError) as info:
+        wi.interpolate_phi((1,), (), COMM)
+    assert info.value.details["residuals"] == ["0"] * wi.HELD_OUT_POINTS
+    assert any(r != "0" for r in info.value.details["sample_residuals"])
