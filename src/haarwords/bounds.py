@@ -12,7 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import TheoremViolationError, ValidationError
 from .ratfunc import Polynomial
@@ -242,6 +241,8 @@ class BumpProfile:
 
     def _tail_raw(self, J, p):
         """sum_{j>J} (1/(j log(2+j)^{1+eps}))^p by Euler-Maclaurin."""
+        from scipy.integrate import quad
+
         eps = self.epsilon
 
         def f(x):

@@ -289,34 +289,6 @@ class ImplicitTensorOperator:
     def adjoint(self):
         return ImplicitTensorOperator(self.n, self.k, self.l, self._adjoint, self._apply)
 
-    def _check(self, other):
-        if (self.n, self.k, self.l) != (other.n, other.k, other.l):
-            raise ValidationError("operator shapes differ")
-
-    def __add__(self, other):
-        self._check(other)
-        return ImplicitTensorOperator(
-            self.n, self.k, self.l,
-            lambda v: self._apply(v) + other._apply(v),
-            lambda v: self._adjoint(v) + other._adjoint(v))
-
-    def __mul__(self, scalar):
-        c = complex(scalar)
-        return ImplicitTensorOperator(
-            self.n, self.k, self.l,
-            lambda v: c * self._apply(v),
-            lambda v: c.conjugate() * self._adjoint(v))
-
-    __rmul__ = __mul__
-
-    def compose(self, other):
-        """self after other."""
-        self._check(other)
-        return ImplicitTensorOperator(
-            self.n, self.k, self.l,
-            lambda v: self._apply(other._apply(v)),
-            lambda v: other._adjoint(self._adjoint(v)))
-
     @classmethod
     def identity(cls, n, k, l):
         return cls(n, k, l, lambda v: v.copy(), lambda v: v.copy())
@@ -461,54 +433,52 @@ def q_projector(lam, mu, n, dense_cap=DENSE_PROJECTOR_CAP):
 @dataclass
 class NormEstimate:
     value: float
-    spread: float
-    restarts: int
+    residual: float
     iterations: int
 
     def __float__(self):
         return self.value
 
 
-def estimate_norm(op, tol=1e-2, max_iter=2000, rng=0, restarts=3):
-    """Power iteration on op* op with seeded restarts.
+def estimate_norm(op, tol=1e-2, max_iter=500, rng=0):
+    """Largest singular value of op: three-term Lanczos on op* op from one
+    random start vector, without reorthogonalisation.
 
-    The returned value is a Rayleigh-quotient estimate, hence never above
-    the true operator norm; the relative spread across restarts must come
-    in under tol or a ConvergenceError (carrying the best estimate) is
-    raised.
+    The top Ritz value theta of T_j is a Rayleigh quotient of op* op and, by
+    Paige's analysis, stays below its top eigenvalue up to rounding even
+    after the Lanczos vectors lose orthogonality, so sqrt(theta) is a lower
+    bound for the norm.  Stops when the Ritz residual beta_j |s_j| is at
+    most tol^2 theta (beta_j = 0, an invariant subspace, passes at once);
+    `residual` is beta_j |s_j| / theta.  After max_iter steps a
+    ConvergenceError carries the best estimate; each step solves T_j densely,
+    so max_iter also bounds that O(j^3) cost.
     """
     if op.dim > APPLY_VECTOR_CAP:
         raise ResourceCapError(f"vector dimension {op.dim} exceeds apply cap")
     rng = _as_rng(rng)
-    best = []
-    total_iters = 0
-    for _ in range(restarts):
-        v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-        v /= np.linalg.norm(v)
-        est = 0.0
-        prev = -1.0
-        for it in range(max_iter):
-            w = op.adjoint().apply(op.apply(v))
-            lam = float(np.real(np.vdot(v, w)))
-            est = math.sqrt(max(lam, 0.0))
-            nw = np.linalg.norm(w)
-            total_iters += 1
-            if nw == 0:
-                break
-            v = w / nw
-            if it % 8 == 7:
-                if prev >= 0 and abs(est - prev) <= 0.02 * tol * max(est, 1e-30):
-                    break
-                prev = est
-        best.append(est)
-    value = max(best)
-    spread = (max(best) - min(best)) / value if value > 0 else 0.0
-    result = NormEstimate(value, spread, restarts, total_iters)
-    if spread > tol:
-        raise ConvergenceError(
-            f"power iteration restarts disagree (spread {spread:.3g} > {tol})",
-            best_estimate=result)
-    return result
+    adjoint = op.adjoint()
+    v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    v /= np.linalg.norm(v)
+    v_prev = np.zeros_like(v)
+    alphas, betas = [], []
+    beta = 0.0
+    for it in range(1, max_iter + 1):
+        w = adjoint.apply(op.apply(v))
+        alpha = float(np.real(np.vdot(v, w)))
+        w -= alpha * v + beta * v_prev
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        theta = max(float(evals[-1]), 0.0)
+        ritz_residual = beta * abs(float(evecs[-1, -1]))
+        result = NormEstimate(math.sqrt(theta), ritz_residual / theta if theta > 0 else 0.0, it)
+        if ritz_residual <= tol * tol * theta:
+            return result
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    raise ConvergenceError(
+        f"Lanczos Ritz residual {result.residual:.3g} above {tol * tol:.3g} "
+        f"after {max_iter} steps", best_estimate=result)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +501,8 @@ def mc_expect(lam, mu, w, n, samples, rng, group="U"):
     map, averaging character evaluations on the spectrum of w(U)."""
     if n < lam.length + mu.length:
         raise ValidationError("n too small for this character")
+    if samples < 2:
+        raise ValidationError(f"a standard error needs at least 2 samples, got {samples}")
     rng = _as_rng(rng)
     r = max(w.rank, 1)
     vals = np.empty(samples, dtype=complex)
@@ -547,6 +519,8 @@ def mc_expect(lam, mu, w, n, samples, rng, group="U"):
 def mc_trace_moment(factors, n, samples, rng, group="U"):
     """Monte Carlo estimate of E prod_j tr(w_j(U)) for trace-monomial
     factors given as (word, inverted) pairs."""
+    if samples < 2:
+        raise ValidationError(f"a standard error needs at least 2 samples, got {samples}")
     rng = _as_rng(rng)
     r = max((w.rank for w, _ in factors), default=1)
     r = max(r, 1)
@@ -574,7 +548,7 @@ class StrongConvergenceReport:
     norm_estimates: list
     reference: float
     deviation: float
-    spreads: list = field(default_factory=list)
+    residuals: list = field(default_factory=list)
 
     def to_json(self):
         return {
@@ -583,31 +557,42 @@ class StrongConvergenceReport:
             "norm_estimates": self.norm_estimates,
             "reference": self.reference,
             "deviation": self.deviation,
-            "spreads": self.spreads,
+            "residuals": self.residuals,
             "type": "float",
         }
 
 
-def polynomial_operator(terms, unitaries, k, l, remove_invariants=True):
+def polynomial_operator(terms, unitaries, k, l):
     """sum_w coeff * pi_{k,l}(w(U)), with the invariant block projected out
     when k = l (the representation on the orthocomplement)."""
     n = unitaries[0].shape[0]
-    op = ImplicitTensorOperator.zero(n, k, l)
-    for w, coeff in terms:
-        op = op + complex(coeff) * word_representation(w, unitaries, k, l)
-    if remove_invariants and k == l and k > 0:
-        proj = invariant_projector(k, l, n)
-        complement = ImplicitTensorOperator.identity(n, k, l) + (-1.0) * proj
-        op = op.compose(complement)
-    return op
+    reps = [(complex(coeff), word_representation(w, unitaries, k, l)) for w, coeff in terms]
+    project = invariant_projector(k, l, n)._apply if k == l and k > 0 else None
+
+    def apply_fn(vec):
+        if project is not None:
+            vec = vec - project(vec)
+        out = np.zeros_like(vec)
+        for c, rep in reps:
+            out += c * rep._apply(vec)
+        return out
+
+    def adjoint_fn(vec):
+        out = np.zeros_like(vec)
+        for c, rep in reps:
+            out += c.conjugate() * rep._adjoint(vec)
+        return out - project(out) if project is not None else out
+
+    return ImplicitTensorOperator(n, k, l, apply_fn, adjoint_fn)
 
 
 def strong_convergence_experiment(r, n, k, l, terms, samples, seed,
-                                  reference=None, tol=5e-2, max_iter=2000,
-                                  group="U"):
+                                  reference=None, tol=5e-2, group="U"):
     """Sample Haar tuples, build the word-polynomial operator in the (k,l)
     tensor representation with invariants removed, and estimate its norm
     against a reduced-free-group reference value."""
+    if k < 0 or l < 0:
+        raise ValidationError(f"tensor degrees must be >= 0, got k={k}, l={l}")
     if samples < 1:
         raise ValidationError(f"need at least one sample, got {samples}")
     if n ** (k + l) > APPLY_VECTOR_CAP:
@@ -616,33 +601,35 @@ def strong_convergence_experiment(r, n, k, l, terms, samples, seed,
         from . import rwalk
         reference = rwalk.reduced_norm_lower_bound(terms, r)
     estimates = []
-    spreads = []
+    residuals = []
     for s in range(samples):
         if k == 0 and l == 0:
             estimates.append(abs(sum(c for _, c in terms)))
-            spreads.append(0.0)
+            residuals.append(0.0)
             continue
         tup = sample_tuple(r, n, substream(seed, "sample", s), group=group,
                            seed_path=("sample", s))
         op = polynomial_operator(terms, tup.matrices, k, l)
-        est = estimate_norm(op, tol=tol, max_iter=max_iter,
-                            rng=substream(seed, "restart", s))
+        # "restart" names the start-vector substream; renaming it would
+        # change every seeded estimate
+        est = estimate_norm(op, tol=tol, rng=substream(seed, "restart", s))
         estimates.append(est.value)
-        spreads.append(est.spread)
+        residuals.append(est.residual)
     mean_norm = float(np.mean(estimates))
     return StrongConvergenceReport(
         n=n, k=k, l=l, r=r, samples=samples, seed=seed,
         norm_estimates=[float(e) for e in estimates],
         reference=float(reference),
         deviation=float(mean_norm - reference),
-        spreads=spreads)
+        residuals=residuals)
 
 
-def concentration_probe(terms, k, l, n_list, trials, seed, tol_factor=10.0,
-                        max_iter=800):
+def concentration_probe(terms, k, l, n_list, trials, seed, tol_factor=10.0):
     """Empirical spread of the operator norm across independent samples for
     each n, checked against the sub-Gaussian Lipschitz scale
     C(x) K / sqrt(n - 2) where C(x) = sum |coeff| |w|."""
+    if k < 0 or l < 0:
+        raise ValidationError(f"tensor degrees must be >= 0, got k={k}, l={l}")
     r = max(max(w.rank for w, _ in terms), 1)
     big_k = k + l
     c_x = sum(abs(c) * max(len(w), 1) for w, c in terms)
@@ -652,8 +639,7 @@ def concentration_probe(terms, k, l, n_list, trials, seed, tol_factor=10.0,
         for t in range(trials):
             tup = sample_tuple(r, n, substream(seed, "probe", n, t))
             op = polynomial_operator(terms, tup.matrices, k, l)
-            norms.append(estimate_norm(op, tol=0.2, max_iter=max_iter,
-                                       rng=substream(seed, "probe-restart", n, t)).value)
+            norms.append(estimate_norm(op, rng=substream(seed, "probe-restart", n, t)).value)
         norms = np.array(norms)
         scale = c_x * big_k / math.sqrt(max(n - 2, 1))
         deviations = np.abs(norms - norms.mean())

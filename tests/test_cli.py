@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -117,9 +120,16 @@ def _no_convergence(*args, **kwargs):
       "--poly", "a+A", "--reference", "2", "--samples", "0"], None, 2),
     (["bounds", "gcheck", "--L", "56", "--i", "2"], None, 3),
     (["interp", "--word", "a", "--lambda", "1", "--n-start", "0"], None, 2),
+    (["strongconv", "--r", "2", "--n", "5", "--k", "-1", "--l", "0",
+      "--poly", "a+A", "--reference", "2"], None, 2),
+    (["strongconv", "--r", "2", "--n", "5", "--k", "1", "--l", "-1",
+      "--poly", "a+A", "--reference", "2"], None, 2),
+    (["selftest", "--samples", "0"], None, 2),
+    (["selftest", "--samples", "1"], None, 2),
 ], ids=["rwalk-samples-0", "rwalk-r-0", "dims-n-0", "strongconv-n-below-k",
         "strongconv-no-convergence", "wg-n-below-L", "strongconv-samples-0",
-        "gcheck-float-overflow", "interp-n-start-0"])
+        "gcheck-float-overflow", "interp-n-start-0", "strongconv-k-negative",
+        "strongconv-l-negative", "selftest-samples-0", "selftest-samples-1"])
 def test_failures_end_with_mapped_exit_code(capsys, monkeypatch, argv, patch, expected):
     if patch is not None:
         monkeypatch.setattr(montecarlo, "estimate_norm", patch)
@@ -132,3 +142,16 @@ def test_selftest_small_sample(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--samples", "1500")
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_rwalk_and_interp_import_no_scipy():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = ("import sys\n"
+              "import haarwords.rwalk\n"
+              "from haarwords import cli\n"
+              "assert cli.run(['interp', '--word', 'abAB', '--lambda', '1']) == 0\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"

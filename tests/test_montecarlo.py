@@ -7,7 +7,7 @@ import pytest
 from haarwords import freegroup as fg
 from haarwords import montecarlo as mc
 from haarwords import selftest
-from haarwords.errors import ValidationError
+from haarwords.errors import ConvergenceError, ValidationError
 from haarwords.symgroup import Partition, partitions_of, schur_dim_poly
 
 COMM = fg.parse_word("abAB")
@@ -252,6 +252,60 @@ def test_estimate_norm_never_exceeds_dense_oracle():
         est = mc.estimate_norm(op, tol=5e-2, max_iter=4000, rng=3)
         assert est.value <= true + 1e-9
         assert est.value >= 0.9 * true
+
+
+def _hermitian(eigenvalues, seed):
+    u = random_unitary(len(eigenvalues), seed)
+    return (u * np.asarray(eigenvalues)) @ u.conj().T
+
+
+def test_estimate_norm_brackets_sigma_max():
+    rng = np.random.default_rng(41)
+    dense = rng.standard_normal((50, 50)) + 1j * rng.standard_normal((50, 50))
+    x = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    rank_one = np.outer(x, x.conj())
+    clustered = _hermitian(np.concatenate([[3.0, -3.0 + 1e-6, 3.0 - 2e-6],
+                                           np.linspace(-2.9, 2.9, 57)]), 42)
+    for m in (dense, rank_one, clustered):
+        n = m.shape[0]
+        sigma_max = float(np.linalg.svd(m, compute_uv=False)[0])
+        for tol in (1e-2, 5e-2):
+            est = mc.estimate_norm(mc.ImplicitTensorOperator.from_matrix(m, n, 1, 0),
+                                   tol=tol, rng=9)
+            assert est.value <= sigma_max + 1e-9
+            assert est.value >= (1 - tol) * sigma_max
+            assert est.residual <= tol * tol
+
+
+def test_estimate_norm_raises_with_best_estimate():
+    rng = np.random.default_rng(43)
+    m = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
+    sigma_max = float(np.linalg.svd(m, compute_uv=False)[0])
+    with pytest.raises(ConvergenceError) as info:
+        mc.estimate_norm(mc.ImplicitTensorOperator.from_matrix(m, 60, 1, 0),
+                         max_iter=2, rng=3)
+    best = info.value.best_estimate
+    assert best.iterations == 2
+    assert 0 < best.value <= sigma_max + 1e-9
+
+
+def test_polynomial_operator_matches_dense_sum():
+    u = random_unitary(5, 44)
+    v = random_unitary(5, 45)
+    terms = [(fg.parse_word("ab"), 1.5), (fg.parse_word("B"), -0.5j)]
+    op = mc.polynomial_operator(terms, (u, v), 1, 1)
+    dense = sum(c * np.kron(m, m.conj()) for c, m in ((1.5, u @ v), (-0.5j, v.conj().T)))
+    want = dense @ (np.eye(25) - mc.invariant_projector(1, 1, 5).to_dense())
+    assert np.max(np.abs(op.to_dense() - want)) < 1e-12
+    assert np.max(np.abs(op.adjoint().to_dense() - want.conj().T)) < 1e-12
+
+
+def test_mc_sample_count_needs_two():
+    for samples in (0, 1):
+        with pytest.raises(ValidationError):
+            mc.mc_expect(Partition((1,)), Partition(()), COMM, 3, samples, 1)
+        with pytest.raises(ValidationError):
+            mc.mc_trace_moment([(COMM, False)], 3, samples, 1)
 
 
 def test_mc_expect_commutator_and_zero_cases():

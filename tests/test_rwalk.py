@@ -122,6 +122,26 @@ def test_ball_compression_monotone():
     assert values[-1] <= 2 * math.sqrt(3) + 1e-6
 
 
+def test_compressed_norm_matches_dense_svd():
+    e = Word((), 2)
+    maps = [
+        {fg.parse_word(s): 1.0 for s in ("a", "A", "b", "B")},
+        {fg.parse_word("ab"): 1.0, fg.parse_word("BA"): 2.0, fg.parse_word("a"): 0.5j, e: 0.3},
+        {fg.parse_word("aab"): 1 - 1j, fg.parse_word("b"): 0.25},
+    ]
+    for a_map in maps:
+        for radius in (1, 2, 3):
+            words, index = rwalk._ball_index(2, radius)
+            dense = np.zeros((len(words), len(words)), dtype=complex)
+            for s, c in a_map.items():
+                for j, g in enumerate(words):
+                    i = index.get(s * g)
+                    if i is not None:
+                        dense[i, j] += c
+            sigma_max = float(np.linalg.svd(dense, compute_uv=False)[0])
+            assert abs(rwalk._compressed_norm(a_map, 2, radius) - sigma_max) < 1e-9
+
+
 def test_haagerup_check_examples():
     rec = rwalk.haagerup_check({fg.parse_word("a"): 1.0})
     assert abs(rec["l2"] - 1) < 1e-12
