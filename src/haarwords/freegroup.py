@@ -175,19 +175,23 @@ def is_proper_power(w):
 def evaluate_word(w, matrices):
     """Product of the given square matrices along the word.
 
-    Inverse letters use the adjoint when the matrix is unitary (to within
-    1e-10) and a true inverse otherwise.
+    `matrices` holds one matrix per generator: each (n, n), or each a
+    stack (..., n, n) with the same leading batch axes, in which case the
+    word is evaluated on every tuple of the batch.  Inverse letters use the
+    adjoint of each matrix that is unitary (to within 1e-10) and a true
+    inverse otherwise.
     """
     if w.rank > len(matrices):
         raise RankError(f"word needs {w.rank} matrices, got {len(matrices)}")
     mats = [np.asarray(m, dtype=complex) for m in matrices]
     if not mats:
         raise ValidationError("at least one matrix required to fix the dimension")
-    n = mats[0].shape[0]
+    shape = mats[0].shape
     for m in mats:
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != n:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape != shape:
             raise ShapeError(f"matrices must all be square of one size, got {m.shape}")
-    out = np.eye(n, dtype=complex)
+    n = shape[-1]
+    out = np.broadcast_to(np.eye(n, dtype=complex), shape).copy()
     inverses = {}
     for x in w.letters:
         u = mats[abs(x) - 1]
@@ -196,10 +200,11 @@ def evaluate_word(w, matrices):
         else:
             key = abs(x) - 1
             if key not in inverses:
-                if np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-10:
-                    inverses[key] = u.conj().T
-                else:
-                    inverses[key] = np.linalg.inv(u)
+                adjoint = u.swapaxes(-1, -2).conj()
+                unitary = np.max(np.abs(adjoint @ u - np.eye(n)), axis=(-2, -1)) < 1e-10
+                if not np.all(unitary):
+                    adjoint = np.where(unitary[..., None, None], adjoint, np.linalg.inv(u))
+                inverses[key] = adjoint
             out = out @ inverses[key]
     return out
 

@@ -35,58 +35,91 @@ def _as_rng(rng_or_seed):
     return np.random.default_rng(rng_or_seed)
 
 
-def haar_unitary(n, rng):
-    """Haar-distributed U(n) sample: complex Ginibre, QR, then the phase
-    gauge fixed so R has positive real diagonal (this removes the QR
-    ambiguity and makes the law exactly Haar, not just approximately)."""
+HAAR_CHUNK = 1024     # tuples per Monte Carlo batch; bounds memory at any sample count
+
+
+def sample_tuple(r, n, rng, group="U", seed_path=(), batch=None):
+    """r independent Haar matrices on U(n) or SU(n), or with `batch` = S
+    that many independent r-tuples, each entry of `matrices` then being one
+    generator's (S, n, n) stack.
+
+    U(n): complex Ginibre, QR, then the phase gauge fixed so R has positive
+    real diagonal (this removes the QR ambiguity and makes the law exactly
+    Haar, not just approximately; Mezzadri 2007).  SU(n): one fixed column
+    times the conjugate determinant.  For fixed W in SU(n), WU gets the same
+    column correction as U because det(WU) = det(U), so left translation
+    invariance is inherited from U(n); uniqueness of Haar measure then gives
+    exact SU(n) distribution.
+
+    The Gaussians are drawn in the order tuple, generator, real part,
+    imaginary part, so a batch of S consumes the stream exactly as S
+    unbatched calls do.  Every matrix must pass the unitarity residual bound
+    1e-12 and, on SU(n), the determinant bound 1e-10.
+    """
+    if group not in ("U", "SU"):
+        raise ValidationError(f"group must be 'U' or 'SU', got {group!r}")
     if n < 1:
         raise ValidationError("dimension must be >= 1")
+    if group == "SU" and n < 2:
+        raise ValidationError("SU(n) sampling needs n >= 2")
     rng = _as_rng(rng)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    shape = (r,) if batch is None else (batch, r)
+    g = rng.standard_normal(shape + (2, n, n))
+    u, rr = np.linalg.qr((g[..., 0, :, :] + 1j * g[..., 1, :, :]) / math.sqrt(2))
+    d = rr.diagonal(0, -2, -1)
+    u *= (d / np.abs(d))[..., None, :]
+    if group == "SU":
+        det = np.linalg.det(u)
+        # hypot rounds as abs() of one complex scalar does; np.abs of an array may not
+        u[..., :, 0] *= (det.conjugate() / np.hypot(det.real, det.imag))[..., None]
+    _check_draws(u, group)
+    return UnitaryTuple(n, tuple(u.swapaxes(0, -3)), group, tuple(seed_path))
+
+
+def _check_draws(u, group):
+    """Every matrix of the (..., n, n) stack is unitary to 1e-12 and, on
+    SU(n), has determinant 1 to 1e-10."""
+    if unitarity_residual(u) >= 1e-12:
+        raise ValidationError("matrix fails the unitarity residual bound")
+    if group == "SU" and np.any(np.abs(np.linalg.det(u) - 1) >= 1e-10):
+        raise ValidationError("matrix fails the SU determinant bound")
+
+
+def _haar_chunks(samples, r, n, rng, group="U"):
+    """`samples` Haar r-tuples as `sample_tuple` batches of at most
+    HAAR_CHUNK tuples."""
+    rng = _as_rng(rng)
+    for start in range(0, samples, HAAR_CHUNK):
+        yield sample_tuple(r, n, rng, group=group, batch=min(HAAR_CHUNK, samples - start))
+
+
+def haar_unitary(n, rng):
+    """One Haar-distributed U(n) matrix (see `sample_tuple`)."""
+    return sample_tuple(1, n, rng).matrices[0]
 
 
 def haar_special_unitary(n, rng):
-    """Haar on SU(n): draw Haar U(n), multiply one fixed column by the
-    conjugate determinant.  For fixed W in SU(n), (WU) gets the same
-    column correction as U because det(WU) = det(U), so left translation
-    invariance is inherited from U(n); uniqueness of Haar measure then
-    gives exact SU(n) distribution."""
-    if n < 2:
-        raise ValidationError("SU(n) sampling needs n >= 2")
-    u = haar_unitary(n, rng).copy()
-    det = np.linalg.det(u)
-    u[:, 0] *= det.conjugate() / abs(det)
-    return u
+    """One Haar-distributed SU(n) matrix (see `sample_tuple`)."""
+    return sample_tuple(1, n, rng, group="SU").matrices[0]
 
 
 def unitarity_residual(u):
-    n = u.shape[0]
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
+    """max |u* u - 1| over a matrix, or over every matrix of a (..., n, n)
+    stack."""
+    gram = u.swapaxes(-1, -2).conj() @ u
+    gram -= np.eye(u.shape[-1])
+    return float(np.abs(gram).max())
 
 
 @dataclass(frozen=True)
 class UnitaryTuple:
-    """An r-tuple of sampled unitaries with provenance."""
+    """An r-tuple of sampled unitaries, or one (S, n, n) stack per
+    generator, with provenance."""
 
     n: int
     matrices: tuple
     group: str = "U"
     seed_path: tuple = ()
-
-    def __post_init__(self):
-        for u in self.matrices:
-            if unitarity_residual(u) >= 1e-12:
-                raise ValidationError("matrix fails the unitarity residual bound")
-            if self.group == "SU" and abs(np.linalg.det(u) - 1) >= 1e-10:
-                raise ValidationError("matrix fails the SU determinant bound")
-
-
-def sample_tuple(r, n, rng, group="U", seed_path=()):
-    draw = haar_special_unitary if group == "SU" else haar_unitary
-    return UnitaryTuple(n, tuple(draw(n, rng) for _ in range(r)), group, tuple(seed_path))
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +232,22 @@ def dim_bounds_check(weight, n):
 
 
 def _det_ratio(eig, exponents_num, exponents_den):
-    num = np.power.outer(eig, exponents_num)
-    den = np.power.outer(eig, exponents_den)
+    """det(eig_i^num_j) / det(eig_i^den_j) for one spectrum (n,) or each
+    row of a (..., n) stack."""
+    num = eig[..., :, None] ** exponents_num
+    den = eig[..., :, None] ** exponents_den
     sign_n, log_n = np.linalg.slogdet(num)
     sign_d, log_d = np.linalg.slogdet(den)
-    if sign_d == 0:
+    if np.any(sign_d == 0):
         raise ZeroDivisionError("degenerate denominator determinant")
     return sign_n / sign_d * np.exp(log_n - log_d)
 
 
 def _char_from_weight(weight, eig):
-    n = len(eig)
+    n = eig.shape[-1]
     exps_den = np.arange(n - 1, -1, -1)
     exps_num = np.asarray(weight) + exps_den
-    return _det_ratio(np.asarray(eig, dtype=complex), exps_num, exps_den)
+    return _det_ratio(eig, exps_num, exps_den)
 
 
 DEGENERACY_THRESHOLD = 1e-7
@@ -223,8 +258,15 @@ def _char_eval(weight, eig):
     with a deterministic perturbation + Richardson fallback near
     eigenvalue collisions (the character is a polynomial in the
     eigenvalues, so extrapolating the perturbation to zero is exact up to
-    the neglected cubic term)."""
+    the neglected cubic term).
+
+    `eig` is one spectrum (n,) or a stack (..., n); a stack takes one
+    stacked determinant ratio for its well-separated rows and sends the
+    others (every row when n = 1) through the one-spectrum path.
+    """
     eig = np.asarray(eig, dtype=complex)
+    if eig.ndim > 1:
+        return _char_eval_stack(weight, eig)
     n = len(eig)
     if n == 1:
         return complex(eig[0]) ** int(weight[0])
@@ -245,19 +287,35 @@ def _char_eval(weight, eig):
     return (8.0 * f_h4 - 6.0 * f_h2 + f_h) / 3.0
 
 
+def _char_eval_stack(weight, eig):
+    n = eig.shape[-1]
+    rows = eig.reshape(-1, n)
+    gaps = np.abs(rows[:, :, None] - rows[:, None, :]) + np.eye(n)
+    clear = (gaps.min(axis=(1, 2)) > DEGENERACY_THRESHOLD) & (n > 1)
+    out = np.empty(len(rows), dtype=complex)
+    out[clear] = _char_from_weight(weight, rows[clear])
+    for i in np.flatnonzero(~clear):
+        out[i] = _char_eval(weight, rows[i])
+    return out.reshape(eig.shape[:-1])
+
+
 def schur_eval(lam, eig):
-    """Schur polynomial s_lambda at the given points (0 when the partition
-    is longer than the point count)."""
-    n = len(eig)
+    """Schur polynomial s_lambda at the given points, or at each row of a
+    (..., n) stack of them (0 when the partition is longer than the point
+    count)."""
+    eig = np.asarray(eig, dtype=complex)
+    n = eig.shape[-1]
     if lam.length > n:
-        return 0j
+        return np.zeros(eig.shape[:-1], dtype=complex) if eig.ndim > 1 else 0j
     return _char_eval(tuple(lam.parts) + (0,) * (n - lam.length), eig)
 
 
 def weyl_character_eval(lam, mu, eig):
     """Stable character s_{lambda,mu} evaluated on a spectrum of unit
-    complex numbers; at the identity this is the irrep dimension."""
-    n = len(eig)
+    complex numbers, or on each row of a (..., n) stack of spectra; at the
+    identity this is the irrep dimension."""
+    eig = np.asarray(eig, dtype=complex)
+    n = eig.shape[-1]
     if n < lam.length + mu.length:
         raise ValidationError(
             f"need n >= {lam.length + mu.length} eigenvalues, got {n}")
@@ -496,6 +554,22 @@ class MCResult:
         return abs(self.mean - target) <= k_se * max(self.se, 1e-300)
 
 
+def _unfused_product(a, b):
+    """a * b for complex arrays, each entry rounded as a scalar complex
+    product is: numpy's vectorised complex multiply may fuse multiply-adds,
+    which moves a seeded mean in its last bits."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _mc_result(vals, n):
+    mean = complex(vals.mean())
+    se = float(np.sqrt(np.mean(np.abs(vals - mean) ** 2) / len(vals)))
+    return MCResult(mean, se, len(vals), n)
+
+
 def mc_expect(lam, mu, w, n, samples, rng, group="U"):
     """Monte Carlo estimate of the expected stable character of the word
     map, averaging character evaluations on the spectrum of w(U)."""
@@ -503,17 +577,12 @@ def mc_expect(lam, mu, w, n, samples, rng, group="U"):
         raise ValidationError("n too small for this character")
     if samples < 2:
         raise ValidationError(f"a standard error needs at least 2 samples, got {samples}")
-    rng = _as_rng(rng)
-    r = max(w.rank, 1)
-    vals = np.empty(samples, dtype=complex)
-    for i in range(samples):
-        us = sample_tuple(r, n, rng, group=group).matrices
-        eig = np.linalg.eigvals(evaluate_word(w, us))
+    vals = []
+    for tup in _haar_chunks(samples, max(w.rank, 1), n, rng, group):
+        eig = np.linalg.eigvals(evaluate_word(w, tup.matrices))
         eig /= np.abs(eig)
-        vals[i] = weyl_character_eval(lam, mu, eig)
-    mean = complex(vals.mean())
-    se = float(np.sqrt(np.mean(np.abs(vals - mean) ** 2) / samples))
-    return MCResult(mean, se, samples, n)
+        vals.append(weyl_character_eval(lam, mu, eig))
+    return _mc_result(np.concatenate(vals), n)
 
 
 def mc_trace_moment(factors, n, samples, rng, group="U"):
@@ -521,20 +590,16 @@ def mc_trace_moment(factors, n, samples, rng, group="U"):
     factors given as (word, inverted) pairs."""
     if samples < 2:
         raise ValidationError(f"a standard error needs at least 2 samples, got {samples}")
-    rng = _as_rng(rng)
     r = max((w.rank for w, _ in factors), default=1)
-    r = max(r, 1)
-    vals = np.empty(samples, dtype=complex)
-    for i in range(samples):
-        us = sample_tuple(r, n, rng, group=group).matrices
-        prod = 1.0 + 0j
+    vals = []
+    for tup in _haar_chunks(samples, max(r, 1), n, rng, group):
+        prod = np.ones(len(tup.matrices[0]), dtype=complex)
         for w, inverted in factors:
             eff = w.inverse() if inverted else w
-            prod *= np.trace(evaluate_word(eff, us)) if eff.letters else float(n)
-        vals[i] = prod
-    mean = complex(vals.mean())
-    se = float(np.sqrt(np.mean(np.abs(vals - mean) ** 2) / samples))
-    return MCResult(mean, se, samples, n)
+            tr = np.trace(evaluate_word(eff, tup.matrices), axis1=-2, axis2=-1)
+            prod = _unfused_product(prod, tr)
+        vals.append(prod)
+    return _mc_result(np.concatenate(vals), n)
 
 
 @dataclass

@@ -78,25 +78,27 @@ def koike_agreement():
 
 def gram_inversion(L_max=4):
     """sum_tau n^{cycles(sigma^-1 tau)} Wg_L(tau^-1 pi) = [sigma = pi],
-    exactly, for L <= L_max and n in {L, L+1, L+2}."""
+    exactly, for L <= L_max and n in {L, L+1, L+2}.
+
+    With tau = sigma rho the (sigma, pi) sum is, term for term,
+    sum_rho n^{cycles(rho)} Wg_L(rho^-1 g) with g = sigma^-1 pi, so checking
+    that sum against [g = e] for every g in S_L checks every (sigma, pi).
+    """
     rows = []
     for L in range(1, L_max + 1):
         elements = perms.all_perms(L)
-        wg_vals = {}
+        identity = perms.identity(L)
+        cycle_counts = [perms.num_cycles(rho) for rho in elements]
+        types = [[perms.cycle_type(perms.compose(perms.inverse(rho), g)) for rho in elements]
+                 for g in elements]
+        all_types = {perms.cycle_type(p) for p in elements}
         for n in (L, L + 1, L + 2):
             nf = Fraction(n)
-            for ct in {perms.cycle_type(p) for p in elements}:
-                wg_vals[(ct, n)] = weingarten.wg(L, ct)(nf)
-            ok = True
-            for sigma in elements:
-                for pi in elements:
-                    acc = Fraction(0)
-                    for tau in elements:
-                        cyc = perms.num_cycles(perms.compose(perms.inverse(sigma), tau))
-                        ct = perms.cycle_type(perms.compose(perms.inverse(tau), pi))
-                        acc += Fraction(n) ** cyc * wg_vals[(ct, n)]
-                    if acc != (1 if sigma == pi else 0):
-                        ok = False
+            wg_vals = {ct: weingarten.wg(L, ct)(nf) for ct in all_types}
+            powers = [nf ** c for c in cycle_counts]
+            ok = all(
+                sum(p * wg_vals[ct] for p, ct in zip(powers, row)) == (1 if g == identity else 0)
+                for g, row in zip(elements, types))
             rows.append({"L": L, "n": n, "ok": ok})
     return rows
 

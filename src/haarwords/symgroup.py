@@ -364,16 +364,17 @@ def _validate_koike(lam, mu, terms):
     for n in range(max(k + ell, 1), max(k + ell, 1) + 4):
         if n < lam.length + mu.length:
             continue
-        for _ in range(50):
-            # jittered equispaced phases: random but with a spacing floor,
-            # keeping the determinant-ratio evaluation well conditioned
-            phases = (np.arange(n) + 0.35 + 0.3 * rng.random(n)) / n + rng.random()
-            eig = np.exp(2j * np.pi * phases)
-            lhs = montecarlo.weyl_character_eval(lam, mu, eig)
-            rhs = 0j
-            for (lam_p, mu_p), c in terms.items():
-                rhs += c * montecarlo.schur_eval(lam_p, eig) * montecarlo.schur_eval(mu_p, eig.conj())
-            worst = max(worst, abs(lhs - rhs))
+        # 50 spectra of jittered equispaced phases (n jitters, then one
+        # rotation, per row): random but with a spacing floor, keeping the
+        # determinant-ratio evaluation well conditioned
+        draws = rng.random((50, n + 1))
+        phases = (np.arange(n) + 0.35 + 0.3 * draws[:, :n]) / n + draws[:, n:]
+        eig = np.exp(2j * np.pi * phases)
+        lhs = montecarlo.weyl_character_eval(lam, mu, eig)
+        rhs = np.zeros(len(eig), dtype=complex)
+        for (lam_p, mu_p), c in terms.items():
+            rhs += c * montecarlo.schur_eval(lam_p, eig) * montecarlo.schur_eval(mu_p, eig.conj())
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     if worst >= KOIKE_VALIDATION_TOLERANCE:
         raise TheoremViolationError(
             f"mixed-character expansion for {lam!r},{mu!r} failed its "

@@ -135,6 +135,23 @@ def test_evaluate_word_is_multiplicative():
     assert np.allclose(lhs, rhs)
 
 
+def test_evaluate_word_on_stacks_matches_per_matrix():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    b = np.linalg.qr(rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3)))[0]
+    a[1] = b[1]                    # one unitary in a stack of non-unitary matrices
+    for text in ("", "aBA", "abAB"):
+        w = fg.parse_word(text)
+        stacked = fg.evaluate_word(w, (a, b))
+        assert stacked.shape == (5, 3, 3)
+        for s in range(5):
+            assert np.allclose(stacked[s], fg.evaluate_word(w, (a[s], b[s])), atol=1e-12)
+    identity = fg.evaluate_word(fg.parse_word(""), (a, b))
+    assert np.array_equal(identity, np.broadcast_to(np.eye(3), (5, 3, 3)))
+    with pytest.raises(ShapeError):
+        fg.evaluate_word(fg.parse_word("ab"), (a, b[:4]))
+
+
 def test_evaluate_word_shape_error():
     with pytest.raises(ShapeError):
         fg.evaluate_word(fg.parse_word("ab"), (np.eye(2), np.eye(3)))

@@ -6,7 +6,7 @@ import pytest
 
 from haarwords import freegroup as fg
 from haarwords import montecarlo as mc
-from haarwords import selftest
+from haarwords import selftest, weingarten
 from haarwords.errors import ConvergenceError, ValidationError
 from haarwords.symgroup import Partition, partitions_of, schur_dim_poly
 
@@ -49,6 +49,115 @@ def test_special_unitary_determinant_and_mean_trace():
     vals = np.array([np.trace(mc.haar_special_unitary(3, rng)) for _ in range(20000)])
     se = vals.std() / math.sqrt(len(vals))
     assert abs(vals.mean()) <= 4 * se  # matches the U(3) value 0
+
+
+def mezzadri_unitary(n, rng):
+    """The per-matrix Haar draw: Ginibre, QR, phase-fixed diagonal."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_batched_draws_match_sequential_draws(n):
+    batch = mc.sample_tuple(2, n, np.random.default_rng(8), batch=7).matrices
+    assert len(batch) == 2 and batch[0].shape == (7, n, n)
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    for s in range(7):
+        for j in range(2):
+            u = mc.haar_unitary(n, rng)
+            assert np.array_equal(batch[j][s], u)
+            assert np.array_equal(u, mezzadri_unitary(n, ref))
+    if n < 2:
+        return
+    batch = mc.sample_tuple(2, n, np.random.default_rng(9), batch=7, group="SU").matrices
+    rng = np.random.default_rng(9)
+    for s in range(7):
+        for j in range(2):
+            v = mezzadri_unitary(n, rng)
+            det = np.linalg.det(v)
+            v[:, 0] *= det.conjugate() / abs(det)
+            assert np.max(np.abs(batch[j][s] - v)) < 1e-14
+
+
+def test_unknown_group_is_rejected():
+    with pytest.raises(ValidationError):
+        mc.mc_expect(Partition((1,)), Partition(()), COMM, 3, 10, 1, group="Sp")
+    with pytest.raises(ValidationError):
+        mc.sample_tuple(2, 3, np.random.default_rng(0), group="su")
+
+
+def test_every_drawn_matrix_is_checked(monkeypatch):
+    qr = np.linalg.qr
+
+    def one_bad_qr(z):
+        q, r = qr(z)
+        q = q.copy()
+        q[2, 1] *= 1 + 1e-9        # one matrix of the stack stops being unitary
+        return q, r
+
+    monkeypatch.setattr(mc.np.linalg, "qr", one_bad_qr)
+    with pytest.raises(ValidationError, match="unitarity"):
+        mc.sample_tuple(2, 4, np.random.default_rng(0), batch=5)
+    monkeypatch.undo()
+    stack = mc.sample_tuple(1, 4, np.random.default_rng(0), group="SU", batch=5).matrices[0].copy()
+    stack[3, :, 0] *= 1j               # still unitary, determinant i
+    mc._check_draws(stack, "U")
+    with pytest.raises(ValidationError, match="determinant"):
+        mc._check_draws(stack, "SU")
+
+
+def per_sample_mc_expect(lam, mu, w, n, samples, rng, group="U"):
+    """The one-tuple-at-a-time estimator the chunked one replaced."""
+    rng = np.random.default_rng(rng)
+    vals = np.empty(samples, dtype=complex)
+    for i in range(samples):
+        us = mc.sample_tuple(max(w.rank, 1), n, rng, group=group).matrices
+        eig = np.linalg.eigvals(fg.evaluate_word(w, us))
+        eig /= np.abs(eig)
+        vals[i] = mc.weyl_character_eval(lam, mu, eig)
+    mean = complex(vals.mean())
+    return mean, float(np.sqrt(np.mean(np.abs(vals - mean) ** 2) / samples))
+
+
+def test_chunked_mc_expect_matches_per_sample_loop():
+    samples = mc.HAAR_CHUNK + 1
+    lam, mu = Partition((2,)), Partition((1,))
+    res = mc.mc_expect(lam, mu, COMM, 4, samples, 3)
+    assert res.samples == samples
+    assert (res.mean, res.se) == per_sample_mc_expect(lam, mu, COMM, 4, samples, 3)
+    res = mc.mc_expect(lam, mu, COMM, 4, samples, 3, group="SU")
+    mean, se = per_sample_mc_expect(lam, mu, COMM, 4, samples, 3, group="SU")
+    assert abs(res.mean - mean) <= 1e-12 * abs(mean) and abs(res.se - se) <= 1e-12 * se
+
+
+def test_stacked_character_matches_rows(monkeypatch):
+    rng = np.random.default_rng(4)
+    eig = np.exp(2j * np.pi * rng.random((6, 4)))
+    eig[1, 2] = eig[1, 0] * np.exp(1e-9j)              # near collision: Richardson
+    us = mc.sample_tuple(1, 4, rng, batch=6).matrices
+    eig[4] = np.linalg.eigvals(fg.evaluate_word(fg.parse_word("aA"), us))[4]   # scalar
+    weight = (2, 1, 0, -1)
+    rows = [mc._char_eval(weight, e) for e in eig]
+    char_eval, one_spectrum = mc._char_eval, []
+
+    def spy(w, e):
+        one_spectrum.append(np.ndim(e) == 1)
+        return char_eval(w, e)
+
+    monkeypatch.setattr(mc, "_char_eval", spy)
+    stacked = mc._char_eval(weight, eig.reshape(2, 3, 4))
+    assert stacked.shape == (2, 3)
+    assert sum(one_spectrum) == 2                      # rows 1 and 4 only
+    assert np.max(np.abs(stacked.reshape(-1) - rows)) < 1e-12
+    assert abs(rows[4] - mc.weyl_dim(weight)) < 1e-9
+    monkeypatch.undo()
+    lines = np.exp(2j * np.pi * rng.random((5, 1)))
+    assert np.array_equal(mc._char_eval((3,), lines), [mc._char_eval((3,), e) for e in lines])
+    lam = Partition((1,))
+    assert np.array_equal(mc.schur_eval(Partition((1, 1)), lines), np.zeros(5))
+    assert np.array_equal(mc.weyl_character_eval(lam, Partition(()), lines), lines[:, 0])
 
 
 def test_su_u_agreement_above_threshold():
@@ -323,6 +432,21 @@ def test_mc_expect_commutator_and_zero_cases():
 def test_monomial_oracle_agreement_small():
     rows = selftest.monomial_agreement(samples=4000, seed=77)
     assert all(r["ok"] for r in rows)
+
+
+def test_gram_inversion_catches_one_wrong_weingarten_value(monkeypatch):
+    wg = weingarten.wg
+
+    def off_by_a_thousandth(L, ct):
+        value = wg(L, ct)
+        if (L, tuple(ct)) == (3, (2, 1)):
+            return lambda n: value(n) + Fraction(1, 1000)
+        return value
+
+    assert all(r["ok"] for r in selftest.gram_inversion(L_max=3))
+    monkeypatch.setattr(weingarten, "wg", off_by_a_thousandth)
+    rows = selftest.gram_inversion(L_max=3)
+    assert [r["ok"] for r in rows] == [True] * 6 + [False] * 3
 
 
 def test_strong_convergence_small():
