@@ -9,12 +9,15 @@ generators.  Words are always stored freely reduced and are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .errors import RankError, ResourceCapError, ShapeError, ValidationError, WordParseError
 
 DEFAULT_BALL_CAP = 2_000_000
+WHITEHEAD_RANK_CAP = 4   # most generators a word may use for the Whitehead descent to run
 
 
 def _reduce_letters(letters):
@@ -136,14 +139,9 @@ class CyclicForm:
 
 def cyclic_reduce(w):
     """Strip matching end pairs until the core is cyclically reduced."""
-    letters = list(w.letters)
-    lo, hi = 0, len(letters)
-    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
-        lo += 1
-        hi -= 1
-    core = Word(tuple(letters[lo:hi]), w.rank)
-    conjugator = Word(tuple(letters[:lo]), w.rank)
-    return CyclicForm(core, conjugator)
+    core = _cyclic_core(w.letters)
+    conjugator = w.letters[:(len(w) - len(core)) // 2]
+    return CyclicForm(Word(core, w.rank), Word(conjugator, w.rank))
 
 
 def is_proper_power(w):
@@ -170,6 +168,95 @@ def is_proper_power(w):
     exponent = m // period
     root = form.conjugator * Word(core[:period], w.rank) * form.conjugator.inverse()
     return root, exponent
+
+
+def _cyclic_core(letters):
+    """Cyclic reduction of a freely reduced letters tuple."""
+    lo, hi = 0, len(letters)
+    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
+        lo += 1
+        hi -= 1
+    return letters[lo:hi]
+
+
+def _relabel(letters):
+    """Rename the generators 1, 2, ... in order of first appearance, each
+    with the sign of its first appearance (so the first letter is +1)."""
+    names = {}
+    out = []
+    for y in letters:
+        if abs(y) not in names:
+            names[abs(y)] = (len(names) + 1) * (1 if y > 0 else -1)
+        out.append(names[abs(y)] if y > 0 else -names[abs(y)])
+    return tuple(out)
+
+
+def _canonical_rotation(letters):
+    """Least relabelled rotation, letters ordered a < A < b < B < ...:
+    the same for every rotation and signed renaming of the generators."""
+    rotations = (_relabel(letters[s:] + letters[:s]) for s in range(len(letters)))
+    return min(rotations, key=lambda word: [2 * abs(y) + (y < 0) for y in word], default=())
+
+
+@lru_cache(maxsize=None)
+def _whitehead_moves(rank):
+    """The 2 rank (2^(2 rank - 2) - 1) nontrivial type-2 Whitehead
+    automorphisms (A, x) of F_rank: x a letter, A a set of letters holding
+    x, not x^-1, and at least one other letter."""
+    letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]
+    moves = []
+    for x in letters:
+        others = [y for y in letters if abs(y) != abs(x)]
+        for size in range(1, len(others) + 1):
+            moves.extend((frozenset(extra) | {x}, x) for extra in combinations(others, size))
+    return tuple(moves)
+
+
+def _whitehead_image(letters, subset, x):
+    """Cyclic core of the image under (A, x), which fixes x and sends every
+    other letter y to x^-1 y if y^-1 is in A, times x if y is in A."""
+    image = []
+    for y in letters:
+        if abs(y) != abs(x) and -y in subset:
+            image.append(-x)
+        image.append(y)
+        if abs(y) != abs(x) and y in subset:
+            image.append(x)
+    return _cyclic_core(_reduce_letters(image))
+
+
+@lru_cache(maxsize=4096)
+def _minimal_letters(letters):
+    core = _canonical_rotation(_cyclic_core(letters))
+    rank = max(core, default=0)
+    if rank <= WHITEHEAD_RANK_CAP:
+        moves = _whitehead_moves(rank)
+        shorter = True
+        while shorter:
+            shorter = False
+            for subset, x in moves:
+                image = _whitehead_image(core, subset, x)
+                if len(image) < len(core):
+                    core, shorter = image, True
+                    break
+    return _canonical_rotation(core)
+
+
+def whitehead_minimal(w):
+    """A shortest word in the orbit of w's conjugacy class under Aut(F_r),
+    in a canonical rotation and naming of its generators.
+
+    Three steps: cyclic reduction; greedy descent over the nontrivial
+    type-2 Whitehead automorphisms (by Whitehead's theorem a cyclic word of
+    non-minimal length in its orbit is shortened by one of them, so the
+    descent stops at the minimum); then the least rotation, with the
+    generators renamed in order of first appearance (`_canonical_rotation`).
+    The descent starts from that canonical form too, so conjugates and
+    renamings of w give the same result.  It runs only for words on at
+    most WHITEHEAD_RANK_CAP generators; words on more get the other two
+    steps.  Results are cached by letters.
+    """
+    return Word(_minimal_letters(w.letters))
 
 
 def evaluate_word(w, matrices):

@@ -231,23 +231,26 @@ def dim_bounds_check(weight, n):
     return record
 
 
-def _det_ratio(eig, exponents_num, exponents_den):
-    """det(eig_i^num_j) / det(eig_i^den_j) for one spectrum (n,) or each
-    row of a (..., n) stack."""
-    num = eig[..., :, None] ** exponents_num
-    den = eig[..., :, None] ** exponents_den
-    sign_n, log_n = np.linalg.slogdet(num)
-    sign_d, log_d = np.linalg.slogdet(den)
-    if np.any(sign_d == 0):
-        raise ZeroDivisionError("degenerate denominator determinant")
-    return sign_n / sign_d * np.exp(log_n - log_d)
+@lru_cache(maxsize=2)
+def _vandermonde_slogdet(spectra, shape):
+    """slogdet of det(eig_i^(n-1-j)) for the complex spectra given as bytes
+    (one spectrum or a stack of them).  It depends on the spectra only, so
+    every weight evaluated on them shares one denominator: the Koike check
+    alternates between a spectrum stack and its conjugate, hence two
+    entries."""
+    eig = np.frombuffer(spectra, dtype=complex).reshape(shape)
+    return np.linalg.slogdet(eig[..., :, None] ** np.arange(shape[-1] - 1, -1, -1))
 
 
 def _char_from_weight(weight, eig):
-    n = eig.shape[-1]
-    exps_den = np.arange(n - 1, -1, -1)
-    exps_num = np.asarray(weight) + exps_den
-    return _det_ratio(eig, exps_num, exps_den)
+    """det(eig_i^(weight_j + n-1-j)) / det(eig_i^(n-1-j)) for one spectrum
+    or each row of a complex stack."""
+    exponents = np.asarray(weight) + np.arange(eig.shape[-1] - 1, -1, -1)
+    sign_n, log_n = np.linalg.slogdet(eig[..., :, None] ** exponents)
+    sign_d, log_d = _vandermonde_slogdet(eig.tobytes(), eig.shape)
+    if np.any(sign_d == 0):
+        raise ZeroDivisionError("degenerate denominator determinant")
+    return sign_n / sign_d * np.exp(log_n - log_d)
 
 
 DEGENERACY_THRESHOLD = 1e-7

@@ -20,7 +20,7 @@ from functools import lru_cache
 from . import perms
 from .errors import (StructureViolationError, TheoremViolationError,
                      UnsupportedSizeError, ValidationError)
-from .freegroup import Word, is_proper_power
+from .freegroup import Word, is_proper_power, whitehead_minimal
 from .ratfunc import Polynomial, RationalFunction
 from .symgroup import Partition, koike_expand, powersum_schur_basechange
 from .weingarten import wg
@@ -201,6 +201,19 @@ def _powersum_terms(lam):
 def expect_stable_character(lam, mu, w, n=None, max_occurrence=OCCURRENCE_CAP):
     """E_n of the stable character s_{lambda,mu} of the word map w.
 
+    For phi in Aut(F_r), phi(U_1..U_r) is again a Haar tuple, so w and
+    phi(w) have the same law and the same expectation, at every n and as
+    rational functions; a character is also conjugation invariant.  So
+    the integrand is the Whitehead-minimal word of w (`whitehead_minimal`,
+    cached by letters), and the occurrence cap and the n >= occurrences
+    guard apply to that word.
+    """
+    return _expect_raw(lam, mu, whitehead_minimal(w), n=n, max_occurrence=max_occurrence)
+
+
+def _expect_raw(lam, mu, w, n=None, max_occurrence=OCCURRENCE_CAP):
+    """`expect_stable_character` on w exactly as given.
+
     Route: expand the mixed character into products of polynomial
     characters of w and w^-1, convert those to power sums (products of
     traces of word powers), and integrate each trace monomial exactly.
@@ -309,6 +322,12 @@ def interpolate_phi(lam, mu, w, n_start=None, held_out=HELD_OUT_POINTS,
     points and at `held_out` further consecutive n must satisfy
     P(1/n) = g(1/n) E_n exactly; any nonzero residual raises
     StructureViolationError.  The held-out residuals go into the report.
+
+    Every E_n integrates the Whitehead-minimal word of w; the reduction is
+    cached by letters, so it runs once, not once per evaluation.  q, D,
+    L = Kq and g_L stay those of w as given: the minimal word has length
+    q' <= q, so its poles divide g_{Kq'}, which divides g_{Kq}.  The report
+    keeps w.
     """
     from .bounds import g_polynomial
 

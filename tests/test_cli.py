@@ -32,6 +32,20 @@ def test_expect_symbolic(capsys):
     assert blob["symbolic"] == {"num": ["1"], "den": ["0", "1"]}
 
 
+@pytest.mark.parametrize("argv,value", [
+    (["--word", "aaabABAA", "--lambda", "1", "--mu", "1", "--n", "5"], "1/24"),
+    (["--word", "abaabABAAB", "--lambda", "1", "--n", "5"], "2/5"),
+    (["--word", "aaabABAA", "--lambda", "1", "--n", "2"], "1/2"),
+], ids=["conjugate-of-commutator", "commutator-a-b-squared", "n-below-raw-occurrences"])
+def test_expect_integrates_the_whitehead_minimal_word(capsys, argv, value):
+    # the first exceeds the occurrence cap as typed and the last the
+    # n >= occurrences guard; their minimal words are within both
+    code, out, _ = run_cli(capsys, "expect", *argv)
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["value"] == value and blob["word"] == argv[1]
+
+
 def test_wg_value(capsys):
     code, out, _ = run_cli(capsys, "wg", "--L", "2", "--cycle-type", "1,1", "--n", "5")
     assert code == 0

@@ -112,6 +112,71 @@ def test_proper_power_cyclic_invariance(letters):
         assert a[1] == b[1]
 
 
+def _minimal(text):
+    return fg.whitehead_minimal(fg.parse_word(text))
+
+
+def test_whitehead_minimal_examples():
+    commutator = _minimal("abAB")
+    assert commutator.format() == "abAB"
+    for text in ("aaabABAA", "ababABBA", "abcABC"):
+        assert _minimal(text) == commutator
+    # [a, b^2] = abbABB
+    assert _minimal("abaabABAAB") == _minimal("abbABB")
+    assert len(_minimal("abaabABAAB")) == 6
+    for text in ("ab", "aB", "aab", "abb"):
+        assert _minimal(text).format() == "a"
+    for text in ("abAB", "aabAAB", "abAABB", "aabAb", "aabbAB"):
+        assert len(_minimal(text)) == len(text)
+    assert _minimal("").is_identity() and _minimal("aBbA").is_identity()
+
+
+def test_whitehead_minimal_above_rank_cap_only_reduces_and_renames():
+    assert fg.WHITEHEAD_RANK_CAP == 4
+    assert _minimal("abcd").format() == "a"          # primitive, four generators
+    assert _minimal("fEDCBAF").format() == "abcde"   # primitive, five generators
+
+
+def nielsen_image(w, moves):
+    """Apply x_i -> y x_i (left) or x_i y, one substitution per move."""
+    for i, y, left in moves:
+        image = (y, i) if left else (i, y)
+        inverse = tuple(-z for z in reversed(image))
+        letters = []
+        for x in w.letters:
+            letters.extend(image if x == i else inverse if x == -i else (x,))
+        w = fg.Word(letters)
+    return w
+
+
+rank3_letters = st.lists(
+    st.integers(min_value=1, max_value=3).flatmap(lambda i: st.sampled_from([i, -i])),
+    max_size=10)
+nielsen_moves = st.lists(
+    st.tuples(st.integers(1, 3), st.sampled_from([1, 2]), st.sampled_from([1, -1]), st.booleans())
+    .map(lambda move: (move[0], move[2] * ((move[0] + move[1] - 1) % 3 + 1), move[3])),
+    max_size=4)
+
+
+@given(letters_strategy)
+def test_whitehead_minimal_is_cyclically_reduced_and_idempotent(letters):
+    w = fg.Word(letters)
+    m = fg.whitehead_minimal(w)
+    assert fg.cyclic_reduce(m).core == m
+    assert len(m) <= len(fg.cyclic_reduce(w).core)
+    assert fg.whitehead_minimal(m) == m
+
+
+@given(rank3_letters, rank3_letters, nielsen_moves)
+def test_whitehead_minimal_is_an_orbit_invariant(letters, conjugator, moves):
+    # Whitehead: the minimal length is the same across the Aut(F_3) orbit;
+    # conjugates share the canonical form itself
+    w, v = fg.Word(letters), fg.Word(conjugator)
+    m = fg.whitehead_minimal(w)
+    assert fg.whitehead_minimal(v * w * v.inverse()) == m
+    assert len(fg.whitehead_minimal(nielsen_image(w, moves))) == len(m)
+
+
 def test_evaluate_word_examples():
     rng = np.random.default_rng(5)
     u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]

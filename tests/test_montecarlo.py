@@ -25,9 +25,11 @@ def test_haar_unitary_residual_and_determinism():
 
 
 def test_haar_phase_mean_n1():
-    rng = mc.substream(123, "phase")
-    vals = np.array([mc.haar_unitary(1, rng)[0, 0] for _ in range(100000)])
+    # one batch of 100,000 draws consumes the stream as single draws do
+    vals = mc.sample_tuple(1, 1, mc.substream(123, "phase"), batch=100000).matrices[0][:, 0, 0]
     assert abs(vals.mean()) < 0.02
+    rng = mc.substream(123, "phase")
+    assert [mc.haar_unitary(1, rng)[0, 0] for _ in range(5)] == list(vals[:5])
 
 
 def test_haar_trace_moments():
@@ -158,6 +160,26 @@ def test_stacked_character_matches_rows(monkeypatch):
     lam = Partition((1,))
     assert np.array_equal(mc.schur_eval(Partition((1, 1)), lines), np.zeros(5))
     assert np.array_equal(mc.weyl_character_eval(lam, Partition(()), lines), lines[:, 0])
+
+
+def test_weights_on_one_spectrum_share_the_vandermonde_denominator(monkeypatch):
+    rng = np.random.default_rng(8)
+    eig = np.exp(2j * np.pi * rng.random((50, 4)))
+    moved = eig.copy()
+    moved[0, 0] *= np.exp(1e-3j)
+    weights = [(2, 1, 0, 0), (3, 0, 0, 0), (1, 1, 1, 0), (1, 0, 0, -1)]
+    fresh = []
+    for spectra in (eig, moved):
+        for weight in weights:
+            mc._vandermonde_slogdet.cache_clear()
+            fresh.append(mc._char_eval(weight, spectra))
+    mc._vandermonde_slogdet.cache_clear()
+    calls = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(a.shape) or slogdet(a))
+    shared = [mc._char_eval(weight, spectra) for spectra in (eig, moved) for weight in weights]
+    assert len(calls) == 2 * (len(weights) + 1)        # one denominator per spectrum stack
+    assert all(np.array_equal(a, b) for a, b in zip(shared, fresh))
 
 
 def test_su_u_agreement_above_threshold():

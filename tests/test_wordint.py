@@ -1,7 +1,10 @@
+import collections
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from haarwords import cli
 from haarwords import freegroup as fg
@@ -105,32 +108,114 @@ def test_commutator_mixed_character_is_inverse_dimension(lam, mu):
 @pytest.mark.parametrize("word", ["ab", "aab"])
 def test_primitive_word_integrates_characters_to_zero(word):
     # a primitive word map pushes Haar measure to Haar measure, so every
-    # nontrivial irreducible character integrates to 0
+    # nontrivial irreducible character integrates to 0; the raw engine
+    # integrates the word as given, the reduced path the one-letter word
     w = fg.parse_word(word)
     for lam, mu in _mixed_labels(4):
         for n in (4, 5):
+            assert wi._expect_raw(lam, mu, w, n=n) == 0
             assert wi.expect_stable_character(lam, mu, w, n=n) == 0
 
 
 def test_conjugation_invariance():
+    # raw engine on the conjugate, reduced path on the commutator
     for v_text in ("a", "b", "ab", "Ba"):
         v = fg.parse_word(v_text)
         w = v * COMM * v.inverse()
-        assert wi.expect_stable_character((1,), (1,), w) == \
+        assert wi._expect_raw((1,), (1,), w) == \
             wi.expect_stable_character((1,), (1,), COMM)
-        assert wi.expect_stable_character((2,), (), w) == \
+        assert wi._expect_raw((2,), (), w) == \
             wi.expect_stable_character((2,), (), COMM)
 
 
 def test_inversion_symmetry():
     for lam, mu in (((1,), ()), ((1,), (1,))):
         for w in (COMM, fg.parse_word("abab"), fg.parse_word("aabABA")):
-            lhs = wi.expect_stable_character(mu, lam, w)
+            lhs = wi._expect_raw(mu, lam, w)
             rhs = wi.expect_stable_character(lam, mu, w.inverse())
             assert lhs == rhs
-    lhs = wi.expect_stable_character((1,), (2,), COMM)
+    lhs = wi._expect_raw((1,), (2,), COMM)
     rhs = wi.expect_stable_character((2,), (1,), COMM.inverse())
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("word", ["aaabABAA", "ababABBA", "abaabABAAB", "aabAAB", "abAABB",
+                                  "aabbAB", "aabAb", "abcABC", "abcaBC"])
+def test_reduced_path_matches_raw_engine(word):
+    w = fg.parse_word(word)
+    checked = 0
+    for lam, mu in _mixed_labels(2):
+        try:
+            raw = wi._expect_raw(lam, mu, w, n=5, max_occurrence=3)
+        except UnsupportedSizeError:
+            continue
+        assert raw == wi.expect_stable_character(lam, mu, w, n=5)
+        checked += 1
+    assert checked
+
+
+def nielsen_image(w, moves):
+    """Apply x_i -> y x_i (left) or x_i y, one substitution per move."""
+    for i, y, left in moves:
+        image = (y, i) if left else (i, y)
+        inverse = tuple(-z for z in reversed(image))
+        letters = []
+        for x in w.letters:
+            letters.extend(image if x == i else inverse if x == -i else (x,))
+        w = fg.Word(letters)
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["ab", "aab", "abAB", "aabAAB", "abAABB", "aabb", "abAb", "abab", "abaB"]),
+       st.lists(st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, -1]), st.booleans())
+                .map(lambda move: (move[0], move[1] * (3 - move[0]), move[2])),
+                max_size=3),
+       st.sampled_from([((1,), ()), ((1,), (1,)), ((2,), ()), ((1, 1), ()), ((), (2,))]))
+def test_nielsen_moves_preserve_expectation(base, moves, labels):
+    # phi(U) is a Haar tuple for phi in Aut(F_2): the raw engine on the
+    # moved word must match the reduced path on the moved and the base word
+    lam, mu = labels
+    w = fg.parse_word(base)
+    moved = nielsen_image(w, moves)
+    try:
+        raw = wi._expect_raw(lam, mu, moved, n=5, max_occurrence=3)
+    except UnsupportedSizeError:
+        assume(False)
+    assert raw == wi.expect_stable_character(lam, mu, moved, n=5)
+    assert raw == wi.expect_stable_character(lam, mu, w, n=5)
+
+
+@pytest.mark.parametrize("lam,n,expected", [((1,), 7, Fraction(1, 343)),
+                                            ((2,), 7, Fraction(1, 21952))])
+def test_genus_two_surface_word_gives_inverse_dimension_cubed(lam, n, expected):
+    # [a,b][c,d] integrates chi_lambda to 1/dim^(2g-1) with g = 2
+    w = fg.parse_word("abABcdCD")
+    assert expected == Fraction(1, schur_dim_poly(Partition(lam))(Fraction(n)) ** 3)
+    assert wi.expect_stable_character(lam, (), w, n=n) == expected
+    assert wi._expect_raw(lam, (), w, n=n) == expected
+
+
+def _power_monomial(rho, inverted):
+    """prod_j tr(U^j)^(a_j), or its conjugate, with a_j the multiplicity
+    of j in rho: one factor A**j per part."""
+    return [(A**j, inverted) for j in rho.parts]
+
+
+def test_diaconis_shahshahani_power_moments():
+    # E prod_j tr(U^j)^(a_j) conj(tr(U^j))^(b_j) = [a = b] prod_j j^(a_j) a_j!
+    # for n >= sum_j j a_j (Diaconis-Shahshahani 1994)
+    rhos = [rho for k in range(5) for rho in partitions_of(k)]
+    for rho in rhos:
+        for sigma in rhos:
+            m = wi.TraceMonomial.of(*_power_monomial(rho, False),
+                                    *_power_monomial(sigma, True))
+            expected = 0
+            if rho == sigma:
+                expected = math.prod(j**a * math.factorial(a)
+                                     for j, a in collections.Counter(rho.parts).items())
+            for n in range(max(rho.size, sigma.size, 1), max(rho.size, sigma.size) + 3):
+                assert wi.exact_word_moment(m, n=n) == expected
 
 
 def test_weight_mismatch_gives_zero():
