@@ -87,6 +87,10 @@ def _cmd_expect(args):
     cap = int(os.environ.get("HAARWORDS_MAX_OCCURRENCE", wordint.OCCURRENCE_CAP))
     if not args.symbolic and args.n is None:
         raise ValidationError("--n is required unless --symbolic is given")
+    if not args.symbolic and args.n < lam.length + mu.length:
+        # s_{lambda,mu} is an irreducible of U(n) only from there on
+        raise ValidationError(
+            f"need n >= {lam.length + mu.length} for lambda, mu, got {args.n}")
     if args.symbolic:
         value = wordint.expect_stable_character(lam, mu, w, n=None, max_occurrence=cap)
         _emit_json({"word": args.word, "lambda": list(lam.parts), "mu": list(mu.parts),
@@ -336,7 +340,7 @@ def run(argv):
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ResourceCapError as exc:

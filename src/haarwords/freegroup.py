@@ -20,6 +20,12 @@ DEFAULT_BALL_CAP = 2_000_000
 WHITEHEAD_RANK_CAP = 4   # most generators a word may use for the Whitehead descent to run
 
 
+def _code(x):
+    """Letter code: a=0, A=1, b=2, B=3, ...; the inverse letter's code is
+    code ^ 1."""
+    return 2 * x - 2 if x > 0 else -2 * x - 1
+
+
 def _reduce_letters(letters):
     out = []
     for x in letters:
@@ -33,7 +39,7 @@ def _reduce_letters(letters):
 class Word:
     """A freely reduced word over generators x_1..x_r."""
 
-    __slots__ = ("letters", "rank")
+    __slots__ = ("letters", "rank", "_hash")
 
     def __init__(self, letters=(), rank=None):
         letters = _reduce_letters(letters)
@@ -47,6 +53,7 @@ class Word:
             raise RankError(f"letter index {used} exceeds rank {rank}")
         self.letters = letters
         self.rank = rank
+        self._hash = None
 
     @classmethod
     def identity(cls, rank=0):
@@ -69,7 +76,11 @@ class Word:
         return isinstance(other, Word) and self.letters == other.letters
 
     def __hash__(self):
-        return hash(self.letters)
+        # Hash the letter codes, not the letters: hash(-1) == hash(-2) in
+        # CPython, so tuples differing only by A <-> B would collide.
+        if self._hash is None:
+            self._hash = hash(tuple(map(_code, self.letters)))
+        return self._hash
 
     def __mul__(self, other):
         if not isinstance(other, Word):
@@ -308,27 +319,98 @@ def ball_size(radius, r):
     return 1 + 2 * r * (q**radius - 1) // (q - 1)
 
 
+class RankedBall:
+    """The reduced words of length <= radius in F_r as rows of an (N, radius)
+    int8 array of letter codes (padded with -1), indexed by breadth-first
+    rank: identity first, then each sphere in lexicographic order with
+    letters ordered a, A, b, B, ...
+
+    A word x_1..x_L has index ball_size(L - 1) + v, where v is the mixed
+    radix number with first digit code(x_1) in base 2r and each later digit
+    code(x_k) - [code(x_k) > code(x_(k-1)) ^ 1] in base q = 2r - 1.
+    `left_multiply` computes the index of s*g for every row g from that
+    formula alone, with no word products or lookups.
+    """
+
+    def __init__(self, radius, r, cap=DEFAULT_BALL_CAP):
+        if r < 0:
+            raise ValidationError("rank must be >= 0")
+        total = ball_size(radius, r)
+        if total > cap:
+            raise ResourceCapError(f"ball of size {total} exceeds cap {cap}")
+        self.radius, self.rank, self.q = radius, r, max(2 * r - 1, 1)
+        # allowed[c]: the codes that may follow code c, in increasing order
+        allowed = np.array([[y for y in range(2 * r) if y != c ^ 1] for c in range(2 * r)],
+                           dtype=np.int8)
+        codes = np.full((1, radius), -1, dtype=np.int8)
+        spheres = [codes]
+        for length in range(1, radius + 1 if r else 1):
+            if length == 1:
+                codes = np.repeat(codes, 2 * r, axis=0)
+                codes[:, 0] = np.arange(2 * r)
+            else:
+                last = codes[:, length - 2]
+                codes = np.repeat(codes, 2 * r - 1, axis=0)
+                codes[:, length - 1] = allowed[last].ravel()
+            spheres.append(codes)
+        self.codes = np.concatenate(spheres)
+        self.lengths = np.repeat(np.arange(len(spheres)), [len(c) for c in spheres])
+        # offsets[L] = number of words shorter than L
+        self._offsets = np.array([ball_size(L - 1, r) if L else 0
+                                  for L in range(radius + 1)], dtype=np.int64)
+        self._powers = self.q ** np.arange(radius + 1, dtype=np.int64)
+        self._values = np.arange(len(self.codes)) - self._offsets[self.lengths]
+
+    def __len__(self):
+        return len(self.codes)
+
+    def _value(self, codes):
+        """Mixed radix value v of a nonempty reduced word given by its codes."""
+        v = codes[0]
+        for prev, c in zip(codes, codes[1:]):
+            v = v * self.q + c - (c > prev ^ 1)
+        return v
+
+    def left_multiply(self, s):
+        """Index of s*g for every row g (an intp array), -1 where s*g is
+        longer than the radius or uses a generator beyond the rank."""
+        out = np.full(len(self), -1, dtype=np.intp)
+        if any(abs(x) > self.rank for x in s.letters):
+            return out
+        sc = [_code(x) for x in s.letters]
+        m, radius = len(sc), self.radius
+        # cancel[g] = c, the number of letters s*g cancels: s[m-1-j] == g[j]^-1 for j < c
+        cancel = np.zeros(len(self), dtype=np.intp)
+        alive = np.ones(len(self), dtype=bool)
+        for j in range(min(m, radius)):
+            alive &= self.codes[:, j] == sc[m - 1 - j] ^ 1
+            cancel += alive
+        for c in range(min(m, radius) + 1):
+            rows = np.flatnonzero((cancel == c) & (self.lengths <= radius - m + 2 * c))
+            if not rows.size:
+                continue
+            # s*g = s[:m-c] followed by g[c:], of length len(prefix) + rest
+            prefix = sc[:m - c]
+            vp = self._value(prefix) if prefix else 0
+            rest = self.lengths[rows] - c
+            index = np.full(len(rows), vp, dtype=np.int64)
+            grow = np.flatnonzero(rest > 0)
+            if grow.size:
+                head = self.codes[rows[grow], c].astype(np.int64)
+                if prefix:
+                    head -= head > prefix[-1] ^ 1
+                tail = self._powers[rest[grow] - 1]
+                index[grow] = (vp * self._powers[rest[grow]] + head * tail
+                               + self._values[rows[grow]] % tail)
+            out[rows] = self._offsets[len(prefix) + rest] + index
+        return out
+
+
 def ball(radius, r, cap=DEFAULT_BALL_CAP):
     """All reduced words of length <= radius over F_r, identity first,
     in breadth-first order with letters ordered a, A, b, B, ...
     """
-    if r < 0:
-        raise ValidationError("rank must be >= 0")
-    total = ball_size(radius, r)
-    if total > cap:
-        raise ResourceCapError(f"ball of size {total} exceeds cap {cap}")
-    letter_order = [s * i for i in range(1, r + 1) for s in (1, -1)]
-    words = [Word((), r)]
-    frontier = [()]
-    for _ in range(radius):
-        nxt = []
-        for letters in frontier:
-            last = letters[-1] if letters else 0
-            for x in letter_order:
-                if x == -last:
-                    continue
-                grown = letters + (x,)
-                nxt.append(grown)
-                words.append(Word(grown, r))
-        frontier = nxt
-    return words
+    kernel = RankedBall(radius, r, cap)
+    letters = [(c // 2 + 1) * (-1 if c % 2 else 1) for c in range(2 * r)]
+    return [Word(tuple(letters[c] for c in row[:length]), r)
+            for row, length in zip(kernel.codes.tolist(), kernel.lengths.tolist())]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (ResourceCapError, TheoremViolationError,
                      UnsupportedSizeError, ValidationError)
-from .freegroup import Word, ball, ball_size, is_proper_power
+from .freegroup import RankedBall, Word, ball_size, is_proper_power
 
 GENERAL_CONVOLUTION_STEP_CAP = 20
 RADIAL_EXACT_STEP_CAP = 40
@@ -154,33 +154,30 @@ def _radial_transition(measure):
 
 
 def _radial_return_probabilities(measure, steps, exact=True):
-    """P(g_t = e) for t = 0..steps via the birth-death distance chain."""
+    """P(g_t = e) for t = 0..steps via the birth-death distance chain.
+    One code path for both dtypes: exact runs on an object array of
+    Fractions, the float run on float64."""
     r = measure.rank
     p0, p1 = _radial_transition(measure)
     if not exact:
         p0, p1 = float(p0), float(p1)
-    zero = Fraction(0) if exact else 0.0
-    dist = [zero] * (steps + 1)
-    dist[0] = Fraction(1) if exact else 1.0
-    out = [dist[0]]
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    dist = np.full(steps + 1, zero, dtype=object if exact else float)
+    dist[0] = one
+    out = dist[:1].tolist()
     back = p1
     fwd = p1 * (2 * r - 1)
     for _ in range(steps):
-        new = [zero] * (steps + 1)
-        for d, mass in enumerate(dist):
-            if not mass:
-                continue
-            if d == 0:
-                new[0] += mass * p0
-                new[1] += mass * p1 * 2 * r
-            else:
-                new[d] += mass * p0
-                new[d - 1] += mass * back
-                if d + 1 <= steps:
-                    new[d + 1] += mass * fwd
+        # new[d] = dist[d-1] fwd + dist[d] p0 + dist[d+1] back, summed in
+        # that order (the order of a loop over d), so floats round alike
+        new = np.zeros_like(dist)
+        new[1:] = dist[:-1] * fwd
+        new[1] = dist[0] * p1 * 2 * r
+        new = new + dist * p0
+        new[:-1] += dist[1:] * back
         dist = new
         out.append(dist[0])
-    return out
+    return np.array(out, dtype=dist.dtype).tolist()
 
 
 def _convolve_distribution(measure, steps, cap=CONVOLUTION_STATE_CAP,
@@ -251,13 +248,16 @@ def _radial_schur_upper(measure, d_max=2000):
     center = 1.0 / math.sqrt(q)
     a0 = r / max(r - 1, 0.5)
     d = np.arange(1.0, d_max + 1.0)
+    a = np.linspace(0.5 * max(1.0, a0), 3.0 * max(2.0, a0), 60)
+    # one row per a; the same elementwise expressions as a scalar loop over
+    # a, so min/max pick the same float
+    below, at, above = d - 1 + a[:, None], d + a[:, None], d + 1 + a[:, None]
     best = math.inf
     for s in np.geomspace(center * 0.9, min(0.9999, center * 1.1), 60):
-        for a in np.linspace(0.5 * max(1.0, a0), 3.0 * max(2.0, a0), 60):
-            at_zero = p0 + p1 * 2 * r * ((1 + a) * s) / a
-            tail = p0 + p1 * ((d - 1 + a) / ((d + a) * s) + q * s * (d + 1 + a) / (d + a))
-            limit = p0 + p1 * (1.0 / s + q * s)
-            best = min(best, max(at_zero, float(tail.max()), limit))
+        at_zero = p0 + p1 * 2 * r * ((1 + a) * s) / a
+        tail = p0 + p1 * (below / (at * s) + q * s * above / at)
+        limit = p0 + p1 * (1.0 / s + q * s)
+        best = min(best, float(np.maximum(np.maximum(at_zero, tail.max(axis=1)), limit).min()))
     return best
 
 
@@ -288,9 +288,9 @@ def spectral_radius(measure, dp_steps=800, ball_radius=None):
     lower_ball = 0.0
     if ball_radius is None:
         ball_radius = 1
-        while ball_size(ball_radius + 1, measure.rank) <= BALL_COMPRESSION_CAP:
+        while (ball_radius < 12
+               and ball_size(ball_radius + 1, measure.rank) <= BALL_COMPRESSION_CAP):
             ball_radius += 1
-        ball_radius = min(ball_radius, 12)
     try:
         lower_ball = _compressed_norm(
             {w: complex(p) for w, p in measure.support.items()},
@@ -506,25 +506,20 @@ def _fit_slope(rows, samples, window, parity_locked):
 # Haagerup / rapid decay
 
 
-def _ball_index(r, radius, cap=BALL_COMPRESSION_CAP):
-    words = ball(radius, r, cap=cap)
-    return words, {w: i for i, w in enumerate(words)}
-
-
 def _compressed_norm(a_map, r, radius):
     """Largest singular value of the convolution operator compressed to the
     ball of the given radius: a rigorous lower bound for the true norm."""
     from .montecarlo import ImplicitTensorOperator, estimate_norm
 
-    words, index = _ball_index(r, radius)
-    size = len(words)
+    ball = RankedBall(radius, r, cap=BALL_COMPRESSION_CAP)
+    size = len(ball)
     # Left multiplication by s is injective, so the dst entries of one block
     # are distinct and out[dst] += c v[src] is an exact scatter.
     blocks = []
     for s, c in a_map.items():
         if abs(c) == 0:
             continue
-        dst = np.array([index.get(s * g, -1) for g in words], dtype=np.intp)
+        dst = ball.left_multiply(s)
         src = np.flatnonzero(dst >= 0)
         blocks.append((complex(c), src, dst[src]))
 
@@ -571,8 +566,7 @@ def reduced_norm_lower_bound(terms, r, radius=None):
         a_map[w] = a_map.get(w, 0) + complex(c)
     q = max(max((len(w) for w in a_map), default=1), 1)
     if radius is None:
-        radius = q + 3
-        while ball_size(radius + 1, r) <= BALL_COMPRESSION_CAP // 2:
+        radius, limit = q + 3, max(q + 3, 11)
+        while radius < limit and ball_size(radius + 1, r) <= BALL_COMPRESSION_CAP // 2:
             radius += 1
-        radius = min(radius, max(q + 3, 11))
     return _compressed_norm(a_map, r, radius)

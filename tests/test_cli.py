@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from haarwords import cli, montecarlo
 from haarwords.errors import ConvergenceError
@@ -140,10 +142,12 @@ def _no_convergence(*args, **kwargs):
       "--poly", "a+A", "--reference", "2"], None, 2),
     (["selftest", "--samples", "0"], None, 2),
     (["selftest", "--samples", "1"], None, 2),
+    (["expect", "--word", "a", "--lambda", "1", "--mu", "1", "--n", "1"], None, 2),
 ], ids=["rwalk-samples-0", "rwalk-r-0", "dims-n-0", "strongconv-n-below-k",
         "strongconv-no-convergence", "wg-n-below-L", "strongconv-samples-0",
         "gcheck-float-overflow", "interp-n-start-0", "strongconv-k-negative",
-        "strongconv-l-negative", "selftest-samples-0", "selftest-samples-1"])
+        "strongconv-l-negative", "selftest-samples-0", "selftest-samples-1",
+        "expect-n-below-lengths"])
 def test_failures_end_with_mapped_exit_code(capsys, monkeypatch, argv, patch, expected):
     if patch is not None:
         monkeypatch.setattr(montecarlo, "estimate_norm", patch)
@@ -169,3 +173,39 @@ def test_rwalk_and_interp_import_no_scipy():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+_small = st.integers(min_value=-2, max_value=6).map(str)
+_words = st.text(alphabet="abcAB", max_size=4)
+_partitions = st.lists(st.integers(min_value=-2, max_value=6), max_size=2).map(
+    lambda parts: ",".join(map(str, parts)))
+
+
+def _argv_for(command):
+    if command in ("expect", "interp"):
+        fixed = st.sampled_from([["--symbolic"], []]) if command == "expect" else st.just([])
+        n_flag = "--n" if command == "expect" else "--n-start"
+        return st.tuples(_words, _partitions, _partitions, fixed,
+                         st.lists(_small, max_size=1)).map(
+            lambda t: [command, "--word", t[0], "--lambda", t[1], "--mu", t[2], *t[3],
+                       *(x for n in t[4] for x in (n_flag, n))])
+    if command == "wg":
+        return st.tuples(_small, _partitions, st.lists(_small, max_size=1)).map(
+            lambda t: ["wg", "--L", t[0], "--cycle-type", t[1],
+                       *(x for n in t[2] for x in ("--n", n))])
+    if command == "dims":
+        return st.tuples(_small, _small).map(
+            lambda t: ["dims", "--n", t[0], "--l1-cap", t[1]])
+    return st.tuples(_small, st.sampled_from(["uniform-gen", "lazy-uniform"]),
+                     _small, _small).map(
+        lambda t: ["rwalk", "--r", t[0], "--measure", t[1], "--steps", t[2],
+                   "--samples", t[3]])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["expect", "wg", "interp", "dims", "rwalk"]).flatmap(_argv_for))
+def test_small_inputs_exit_with_a_mapped_code(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in err

@@ -1,6 +1,8 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haarwords import freegroup as fg
@@ -235,3 +237,64 @@ def test_ball_counts_and_order():
 def test_ball_cap():
     with pytest.raises(ResourceCapError):
         fg.ball(10, 2, cap=100)
+
+
+def _bfs_ball(radius, r):
+    """Reference enumeration: grow every word of the last sphere by each
+    letter, in the order a, A, b, B, ..., that does not cancel."""
+    letter_order = [s * i for i in range(1, r + 1) for s in (1, -1)]
+    words = [fg.Word((), r)]
+    frontier = [()]
+    for _ in range(radius):
+        nxt = []
+        for letters in frontier:
+            last = letters[-1] if letters else 0
+            for x in letter_order:
+                if x == -last:
+                    continue
+                grown = letters + (x,)
+                nxt.append(grown)
+                words.append(fg.Word(grown, r))
+        frontier = nxt
+    return words
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_ranked_ball_matches_bfs(r):
+    for radius in range(7):
+        oracle = _bfs_ball(radius, r)
+        words = fg.ball(radius, r)
+        assert [w.letters for w in words] == [w.letters for w in oracle]
+        assert all(w.rank == r for w in words)
+        ranked = fg.RankedBall(radius, r)
+        assert len(ranked) == len(oracle) == fg.ball_size(radius, r)
+        assert ranked.lengths.tolist() == [len(w) for w in oracle]
+
+
+@lru_cache(maxsize=None)
+def _oracle_index(radius, r):
+    words = _bfs_ball(radius, r)
+    return words, {w: i for i, w in enumerate(words)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(lambda r: st.tuples(
+    st.just(r), st.integers(min_value=0, max_value=6),
+    st.lists(st.integers(min_value=1, max_value=r).flatmap(lambda i: st.sampled_from([i, -i])),
+             max_size=5))))
+def test_left_multiply_matches_word_products(case):
+    r, radius, letters = case
+    s = fg.Word(letters, r)
+    words, index = _oracle_index(radius, r)
+    expected = [index.get(s * g, -1) for g in words]
+    assert fg.RankedBall(radius, r).left_multiply(s).tolist() == expected
+
+
+def test_left_multiply_drops_generators_beyond_rank():
+    assert (fg.RankedBall(3, 2).left_multiply(fg.parse_word("c")) == -1).all()
+
+
+def test_word_hash_separates_inverse_letters():
+    assert hash(fg.Word((-1,))) != hash(fg.Word((-2,)))
+    words = fg.ball(9, 2)
+    assert len({hash(w) for w in words}) == len(words) == 39365

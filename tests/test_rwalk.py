@@ -1,4 +1,9 @@
+import importlib
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +11,7 @@ import pytest
 
 from haarwords import freegroup as fg
 from haarwords import rwalk
-from haarwords.errors import UnsupportedSizeError, ValidationError
+from haarwords.errors import ResourceCapError, UnsupportedSizeError, ValidationError
 from haarwords.freegroup import Word
 
 
@@ -86,6 +91,64 @@ def test_submultiplicativity_of_returns():
             assert probs[2 * (m1 + m2)] >= probs[2 * m1] * probs[2 * m2]
 
 
+def _loop_return_probabilities(measure, steps, exact):
+    """Reference distance-chain DP, one mass at a time."""
+    r = measure.rank
+    p0, p1 = rwalk._radial_transition(measure)
+    if not exact:
+        p0, p1 = float(p0), float(p1)
+    zero = Fraction(0) if exact else 0.0
+    dist = [zero] * (steps + 1)
+    dist[0] = Fraction(1) if exact else 1.0
+    out = [dist[0]]
+    fwd = p1 * (2 * r - 1)
+    for _ in range(steps):
+        new = [zero] * (steps + 1)
+        for d, mass in enumerate(dist):
+            if d == 0:
+                new[0] += mass * p0
+                new[1] += mass * p1 * 2 * r
+            else:
+                new[d] += mass * p0
+                new[d - 1] += mass * p1
+                if d + 1 <= steps:
+                    new[d + 1] += mass * fwd
+        dist = new
+        out.append(dist[0])
+    return out
+
+
+def _loop_schur_upper(measure, d_max=2000):
+    """Reference radial Schur bound, one (s, a) pair at a time."""
+    r = measure.rank
+    q = 2 * r - 1
+    p0, p1 = (float(x) for x in rwalk._radial_transition(measure))
+    center = 1.0 / math.sqrt(q)
+    a0 = r / max(r - 1, 0.5)
+    d = np.arange(1.0, d_max + 1.0)
+    best = math.inf
+    for s in np.geomspace(center * 0.9, min(0.9999, center * 1.1), 60):
+        for a in np.linspace(0.5 * max(1.0, a0), 3.0 * max(2.0, a0), 60):
+            at_zero = p0 + p1 * 2 * r * ((1 + a) * s) / a
+            tail = p0 + p1 * ((d - 1 + a) / ((d + a) * s) + q * s * (d + 1 + a) / (d + a))
+            limit = p0 + p1 * (1.0 / s + q * s)
+            best = min(best, max(at_zero, float(tail.max()), limit))
+    return best
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_radial_brackets_match_scalar_loops(r, lazy):
+    mu = rwalk.WalkMeasure.lazy_uniform(r) if lazy else rwalk.WalkMeasure.uniform_generators(r)
+    floats = rwalk._radial_return_probabilities(mu, 800, exact=False)
+    assert floats == _loop_return_probabilities(mu, 800, exact=False)
+    assert all(type(p) is float for p in floats)
+    fractions = rwalk._radial_return_probabilities(mu, 40)
+    assert fractions == _loop_return_probabilities(mu, 40, exact=True)
+    assert all(type(p) is Fraction for p in fractions)
+    assert rwalk._radial_schur_upper(mu) == _loop_schur_upper(mu)
+
+
 def test_spectral_radius_kesten():
     mu = rwalk.WalkMeasure.uniform_generators(2)
     bracket = rwalk.spectral_radius(mu)
@@ -131,7 +194,8 @@ def test_compressed_norm_matches_dense_svd():
     ]
     for a_map in maps:
         for radius in (1, 2, 3):
-            words, index = rwalk._ball_index(2, radius)
+            words = fg.ball(radius, 2)
+            index = {w: i for i, w in enumerate(words)}
             dense = np.zeros((len(words), len(words)), dtype=complex)
             for s, c in a_map.items():
                 for j, g in enumerate(words):
@@ -140,6 +204,38 @@ def test_compressed_norm_matches_dense_svd():
                         dense[i, j] += c
             sigma_max = float(np.linalg.svd(dense, compute_uv=False)[0])
             assert abs(rwalk._compressed_norm(a_map, 2, radius) - sigma_max) < 1e-9
+
+
+def test_compressed_norm_values_are_stable():
+    # The Lanczos sums round differently with more BLAS threads, so the
+    # exact floats are pinned to one thread, as the benchmark runs them.
+    script = ("from haarwords import freegroup as fg, rwalk\n"
+              "a_map = {fg.parse_word(s): 1.0 for s in ('a', 'A', 'b', 'B')}\n"
+              "print([rwalk._compressed_norm(a_map, 2, radius) for radius in (8, 9)])\n")
+    src = os.path.dirname(os.path.dirname(rwalk.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[3.320059590314452, 3.343620014485019]"
+
+
+def test_compression_cap_raises_before_allocating():
+    a_map = {fg.parse_word(s): 1.0 for s in ("a", "A", "b", "B")}
+    assert fg.ball_size(12, 2) > rwalk.BALL_COMPRESSION_CAP
+    importlib.import_module("haarwords.montecarlo")  # loaded lazily by the call
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError):
+            rwalk._compressed_norm(a_map, 2, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_rank_zero_norm_bound_terminates():
+    assert rwalk.reduced_norm_lower_bound([(Word(()), 2.0)], 0) == pytest.approx(2.0)
 
 
 def test_haagerup_check_examples():
