@@ -214,8 +214,11 @@ class BumpProfile:
     """Coefficient profile a_j = c / (j log(2+j)^{1+eps}) with sum 1.
 
     The normalization and all tail sums use Euler-Maclaurin corrected
-    integrals, certified to well below 1e-8; partial sums alone converge
-    far too slowly to reach that accuracy directly.
+    integrals; partial sums alone converge far too slowly.  The integrals
+    come from scipy's `quad` and are estimates, not enclosures: its error
+    estimate is dropped, and on these slowly decaying integrands it can be
+    far off (the p = 1 correction at J = 200000 reads 1.6e-9 where the
+    integral is 2.1e-7, which moves c by about -7e-8 relative).
     """
 
     def __init__(self, epsilon):
@@ -270,7 +273,8 @@ class BumpProfile:
         return self.c / (j * np.log(2.0 + j) ** (1.0 + self.epsilon))
 
     def tail_power_sum(self, J, p):
-        """sum_{j>J} a_j^p, certified via Euler-Maclaurin."""
+        """sum_{j>J} a_j^p, estimated by Euler-Maclaurin around a `quad`
+        integral (see the class docstring for its accuracy)."""
         key = (J, p)
         if key not in self._tail_cache:
             self._tail_cache[key] = self.c ** p * self._tail_raw(J, p)

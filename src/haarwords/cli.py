@@ -144,6 +144,8 @@ def _cmd_strongconv(args):
 
     terms = _parse_poly(args.poly)
     reference = args.reference
+    if args.n is None and not args.n_list:
+        raise ValidationError("strongconv needs --n or --n-list")
     n_values = ([int(x) for x in args.n_list.split(",")] if args.n_list else [args.n])
     reports = []
     for n in n_values:

@@ -38,10 +38,10 @@ def _as_rng(rng_or_seed):
 HAAR_CHUNK = 1024     # tuples per Monte Carlo batch; bounds memory at any sample count
 
 
-def sample_tuple(r, n, rng, group="U", seed_path=(), batch=None):
-    """r independent Haar matrices on U(n) or SU(n), or with `batch` = S
-    that many independent r-tuples, each entry of `matrices` then being one
-    generator's (S, n, n) stack.
+def sample_tuple(r, n, rng, group="U", batch=None):
+    """A tuple of r independent Haar matrices on U(n) or SU(n), or with
+    `batch` = S that many independent r-tuples, each entry of the tuple
+    then being one generator's (S, n, n) stack.
 
     U(n): complex Ginibre, QR, then the phase gauge fixed so R has positive
     real diagonal (this removes the QR ambiguity and makes the law exactly
@@ -73,7 +73,7 @@ def sample_tuple(r, n, rng, group="U", seed_path=(), batch=None):
         # hypot rounds as abs() of one complex scalar does; np.abs of an array may not
         u[..., :, 0] *= (det.conjugate() / np.hypot(det.real, det.imag))[..., None]
     _check_draws(u, group)
-    return UnitaryTuple(n, tuple(u.swapaxes(0, -3)), group, tuple(seed_path))
+    return tuple(u.swapaxes(0, -3))
 
 
 def _check_draws(u, group):
@@ -95,12 +95,12 @@ def _haar_chunks(samples, r, n, rng, group="U"):
 
 def haar_unitary(n, rng):
     """One Haar-distributed U(n) matrix (see `sample_tuple`)."""
-    return sample_tuple(1, n, rng).matrices[0]
+    return sample_tuple(1, n, rng)[0]
 
 
 def haar_special_unitary(n, rng):
     """One Haar-distributed SU(n) matrix (see `sample_tuple`)."""
-    return sample_tuple(1, n, rng, group="SU").matrices[0]
+    return sample_tuple(1, n, rng, group="SU")[0]
 
 
 def unitarity_residual(u):
@@ -109,17 +109,6 @@ def unitarity_residual(u):
     gram = u.swapaxes(-1, -2).conj() @ u
     gram -= np.eye(u.shape[-1])
     return float(np.abs(gram).max())
-
-
-@dataclass(frozen=True)
-class UnitaryTuple:
-    """An r-tuple of sampled unitaries, or one (S, n, n) stack per
-    generator, with provenance."""
-
-    n: int
-    matrices: tuple
-    group: str = "U"
-    seed_path: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +285,8 @@ def _char_eval_stack(weight, eig):
     gaps = np.abs(rows[:, :, None] - rows[:, None, :]) + np.eye(n)
     clear = (gaps.min(axis=(1, 2)) > DEGENERACY_THRESHOLD) & (n > 1)
     out = np.empty(len(rows), dtype=complex)
-    out[clear] = _char_from_weight(weight, rows[clear])
+    if clear.any():
+        out[clear] = _char_from_weight(weight, rows[clear])
     for i in np.flatnonzero(~clear):
         out[i] = _char_eval(weight, rows[i])
     return out.reshape(eig.shape[:-1])
@@ -581,8 +571,8 @@ def mc_expect(lam, mu, w, n, samples, rng, group="U"):
     if samples < 2:
         raise ValidationError(f"a standard error needs at least 2 samples, got {samples}")
     vals = []
-    for tup in _haar_chunks(samples, max(w.rank, 1), n, rng, group):
-        eig = np.linalg.eigvals(evaluate_word(w, tup.matrices))
+    for us in _haar_chunks(samples, max(w.rank, 1), n, rng, group):
+        eig = np.linalg.eigvals(evaluate_word(w, us))
         eig /= np.abs(eig)
         vals.append(weyl_character_eval(lam, mu, eig))
     return _mc_result(np.concatenate(vals), n)
@@ -595,11 +585,11 @@ def mc_trace_moment(factors, n, samples, rng, group="U"):
         raise ValidationError(f"a standard error needs at least 2 samples, got {samples}")
     r = max((w.rank for w, _ in factors), default=1)
     vals = []
-    for tup in _haar_chunks(samples, max(r, 1), n, rng, group):
-        prod = np.ones(len(tup.matrices[0]), dtype=complex)
+    for us in _haar_chunks(samples, max(r, 1), n, rng, group):
+        prod = np.ones(len(us[0]), dtype=complex)
         for w, inverted in factors:
             eff = w.inverse() if inverted else w
-            tr = np.trace(evaluate_word(eff, tup.matrices), axis1=-2, axis2=-1)
+            tr = np.trace(evaluate_word(eff, us), axis1=-2, axis2=-1)
             prod = _unfused_product(prod, tr)
         vals.append(prod)
     return _mc_result(np.concatenate(vals), n)
@@ -659,6 +649,13 @@ def strong_convergence_experiment(r, n, k, l, terms, samples, seed,
     """Sample Haar tuples, build the word-polynomial operator in the (k,l)
     tensor representation with invariants removed, and estimate its norm
     against a reduced-free-group reference value."""
+    if r < 1:
+        raise ValidationError(f"rank r must be >= 1, got r={r}")
+    for w, _ in terms:
+        if w.rank > r:
+            raise ValidationError(f"term {w} needs rank {w.rank}, above r={r}")
+    if n < 1:
+        raise ValidationError(f"dimension must be >= 1, got n={n}")
     if k < 0 or l < 0:
         raise ValidationError(f"tensor degrees must be >= 0, got k={k}, l={l}")
     if samples < 1:
@@ -675,9 +672,8 @@ def strong_convergence_experiment(r, n, k, l, terms, samples, seed,
             estimates.append(abs(sum(c for _, c in terms)))
             residuals.append(0.0)
             continue
-        tup = sample_tuple(r, n, substream(seed, "sample", s), group=group,
-                           seed_path=("sample", s))
-        op = polynomial_operator(terms, tup.matrices, k, l)
+        us = sample_tuple(r, n, substream(seed, "sample", s), group=group)
+        op = polynomial_operator(terms, us, k, l)
         # "restart" names the start-vector substream; renaming it would
         # change every seeded estimate
         est = estimate_norm(op, tol=tol, rng=substream(seed, "restart", s))
@@ -705,8 +701,8 @@ def concentration_probe(terms, k, l, n_list, trials, seed, tol_factor=10.0):
     for n in n_list:
         norms = []
         for t in range(trials):
-            tup = sample_tuple(r, n, substream(seed, "probe", n, t))
-            op = polynomial_operator(terms, tup.matrices, k, l)
+            us = sample_tuple(r, n, substream(seed, "probe", n, t))
+            op = polynomial_operator(terms, us, k, l)
             norms.append(estimate_norm(op, rng=substream(seed, "probe-restart", n, t)).value)
         norms = np.array(norms)
         scale = c_x * big_k / math.sqrt(max(n - 2, 1))

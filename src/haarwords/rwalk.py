@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (ResourceCapError, TheoremViolationError,
                      UnsupportedSizeError, ValidationError)
-from .freegroup import RankedBall, Word, ball_size, is_proper_power
+from .freegroup import RankedBall, Word, ball_size
 
 GENERAL_CONVOLUTION_STEP_CAP = 20
 RADIAL_EXACT_STEP_CAP = 40
@@ -331,30 +331,48 @@ def _wilson_interval(hits, n, z=1.96):
     return max(center - half, 0.0), min(center + half, 1.0)
 
 
-def _nearest_neighbor_walker(measure, steps, samples, rng):
-    """Vectorized walk for supports inside {identity} union letters.
-    Yields (step, letter stacks, lengths) after each step; the stacks are
-    live buffers, so callers must not mutate them."""
-    letters = []
-    probs = []
-    for w, p in measure.support.items():
-        letters.append(0 if w.is_identity() else w.letters[0])
-        probs.append(float(p))
-    letters = np.array(letters, dtype=np.int8)
-    probs = np.array(probs)
+def _walker(measure, steps, samples, rng):
+    """Vectorized walk for any finite support.  The support is a padded
+    (K, m) letters table (the identity a length-0 row), and each step draws
+    one support index per sample.  Yields (step, letter stacks, lengths)
+    after each step; the stacks are live buffers, so callers must not
+    mutate them, and only the first `length` letters of a row are the
+    word."""
+    words = list(measure.support)
+    probs = np.array([float(p) for p in measure.support.values()])
     probs = probs / probs.sum()
-    buf = np.zeros((samples, steps), dtype=np.int8)
-    lengths = np.zeros(samples, dtype=np.int32)
-    rows = np.arange(samples)
+    sizes = np.array([len(w) for w in words], dtype=np.int64)
+    table = np.zeros((len(words), int(sizes.max())), dtype=np.int8)
+    for i, w in enumerate(words):
+        table[i, :len(w)] = w.letters
+    # one spare column, so a write just past the end of a row always fits
+    buf = np.zeros((samples, steps * table.shape[1] + 1), dtype=np.int8)
+    lengths = np.zeros(samples, dtype=np.int64)
     for t in range(steps):
-        draw = letters[rng.choice(len(letters), size=samples, p=probs)]
-        top = np.where(lengths > 0, buf[rows, np.maximum(lengths - 1, 0)], 0)
-        cancel = (draw != 0) & (lengths > 0) & (top == -draw)
-        push = (draw != 0) & ~cancel
-        lengths = lengths - cancel.astype(np.int32)
-        buf[rows[push], lengths[push]] = draw[push]
-        lengths = lengths + push.astype(np.int32)
+        pick = rng.choice(len(words), size=samples, p=probs)
+        lengths = _right_multiply(buf, lengths, table[pick], sizes[pick])
         yield t, buf, lengths
+
+
+def _right_multiply(buf, lengths, s, size):
+    """Multiply each stack row on the right by its reduced word s (rows of
+    an (N, m) padded letters array, true lengths `size`) in place, and
+    return the new lengths: cancel the leading letters of s against the top
+    of the stack with at most m column compares, then push the rest."""
+    rows = np.arange(len(buf))
+    cancel = np.zeros(len(buf), dtype=np.int64)
+    live = np.ones(len(buf), dtype=bool)
+    for j in range(s.shape[1]):
+        # a row shorter than j + 1 reads a wrapped index, masked out
+        live &= (lengths > j) & (buf[rows, lengths - 1 - j] == -s[:, j])
+        cancel += live
+    base = lengths - 2 * cancel
+    lengths = base + size
+    for j in range(s.shape[1]):
+        # letter j of s goes to base + j unless it cancelled; a cancelled
+        # letter, and the padding past |s|, land at or past the new end
+        buf[rows, np.where(j >= cancel, base + j, lengths)] = s[:, j]
+    return lengths
 
 
 def _vectorized_proper_power(words, lengths):
@@ -423,18 +441,19 @@ def proper_power_stats(measure, steps, samples, seed, slope_window=(10, 30)):
     step, with Wilson intervals and a fitted exponential decay slope.
 
     The guarantee this probes assumes a reasonable measure; the sampler
-    also accepts symmetric generating measures without an identity atom
-    (their word length has a parity, so the slope is fitted on the
-    dominant parity class).
+    also accepts symmetric generating measures without an identity atom.
+    When every support word has odd length, each step changes the word
+    length by |s| - 2c, an odd number, so the length parity is locked to
+    the step parity and the slope is fitted on the dominant parity class.
     """
     if not (measure.symmetric and measure.generating):
         raise ValidationError("need a symmetric generating measure")
-    if measure.support_radius() > 1:
-        return _proper_power_stats_generic(measure, steps, samples, seed, slope_window)
+    if steps < 0 or samples < 1:
+        raise ValidationError(f"need steps >= 0 and samples >= 1, got {steps} and {samples}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     rows = []
-    for t, buf, lengths in _nearest_neighbor_walker(measure, steps, samples, rng):
-        mask = _vectorized_proper_power(buf, lengths.astype(np.int64))
+    for t, buf, lengths in _walker(measure, steps, samples, rng):
+        mask = _vectorized_proper_power(buf, lengths)
         hits = int(mask.sum())
         lo, hi = _wilson_interval(hits, samples)
         rows.append({"n": t + 1, "hits": hits, "phat": hits / samples,
@@ -450,30 +469,6 @@ def proper_power_stats(measure, steps, samples, seed, slope_window=(10, 30)):
                             slope=slope, slope_stderr=stderr,
                             slope_window=slope_window, parity_locked=parity_locked,
                             return_probabilities=exact_returns)
-
-
-def _proper_power_stats_generic(measure, steps, samples, seed, slope_window):
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-    words = list(measure.support)
-    probs = np.array([float(p) for p in measure.support.values()])
-    probs /= probs.sum()
-    hits = np.zeros(steps, dtype=np.int64)
-    for _ in range(samples):
-        g = Word((), measure.rank)
-        for t in range(steps):
-            g = g * words[rng.choice(len(words), p=probs)]
-            if is_proper_power(g) is not None:
-                hits[t] += 1
-    rows = []
-    for t in range(steps):
-        lo, hi = _wilson_interval(int(hits[t]), samples)
-        rows.append({"n": t + 1, "hits": int(hits[t]), "phat": hits[t] / samples,
-                     "ci_low": lo, "ci_high": hi})
-    slope, stderr = _fit_slope(rows, samples, slope_window, False)
-    return ProperPowerStats(steps=steps, samples=samples, seed=seed, rows=rows,
-                            slope=slope, slope_stderr=stderr,
-                            slope_window=slope_window, parity_locked=False,
-                            return_probabilities=[])
 
 
 def _fit_slope(rows, samples, window, parity_locked):

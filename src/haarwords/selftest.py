@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import montecarlo, perms, weingarten
 from .freegroup import parse_word
-from .symgroup import partitions_of
+from .symgroup import koike_expand, partitions_of
 from .wordint import TraceMonomial, exact_word_moment
 
 # (factors as word strings, n); inverted factors are written as the
@@ -54,24 +54,20 @@ def monomial_agreement(samples=20000, seed=20250808, k_se=4.0):
 
 
 def koike_agreement():
-    """Re-run the character-identity validation for every expansion with
-    |lambda| + |mu| <= 4; construction already enforces it, so this simply
-    reconstructs each expansion and records the worst error bound."""
-    from .symgroup import _validate_koike, _koike_terms
-
+    """The character-identity validation of every expansion with
+    |lambda| + |mu| <= 4, as recorded by its construction."""
     rows = []
     for total in range(0, 5):
         for k in range(total + 1):
             for lam in partitions_of(k):
                 for mu in partitions_of(total - k):
-                    terms = _koike_terms(lam, mu)
-                    worst = _validate_koike(lam, mu, terms)
+                    expansion = koike_expand(lam.parts, mu.parts)
                     rows.append({
                         "lambda": list(lam.parts),
                         "mu": list(mu.parts),
-                        "terms": len(terms),
-                        "max_error": worst,
-                        "ok": worst < 1e-9,
+                        "terms": len(expansion.terms),
+                        "max_error": expansion.max_error,
+                        "ok": expansion.max_error < 1e-9,
                     })
     return rows
 

@@ -304,12 +304,14 @@ def powersum_schur_basechange(k):
 
 class KoikeExpansion:
     """Expansion of the mixed stable character s_{lambda,mu} into products
-    s_{lambda'}(g) * s_{mu'}(g^{-1}) with n-independent integer coefficients."""
+    s_{lambda'}(g) * s_{mu'}(g^{-1}) with n-independent integer coefficients,
+    and the worst error of the character-identity validation it passed."""
 
-    def __init__(self, lam, mu, terms):
+    def __init__(self, lam, mu, terms, max_error):
         self.lam = lam
         self.mu = mu
         self.terms = terms  # {(lam', mu'): int}
+        self.max_error = max_error
 
     def __getitem__(self, key):
         return self.terms.get(key, 0)
@@ -398,5 +400,4 @@ def koike_expand(lam_parts, mu_parts):
         raise UnsupportedSizeError(
             f"mixed-character expansion validated only for |lambda|+|mu| <= {KOIKE_SIZE_CAP}")
     terms = _koike_terms(lam, mu)
-    _validate_koike(lam, mu, terms)
-    return KoikeExpansion(lam, mu, terms)
+    return KoikeExpansion(lam, mu, terms, _validate_koike(lam, mu, terms))

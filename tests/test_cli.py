@@ -123,37 +123,47 @@ def _no_convergence(*args, **kwargs):
     raise ConvergenceError("power iteration did not settle")
 
 
-@pytest.mark.parametrize("argv,patch,expected", [
-    (["rwalk", "--samples", "0"], None, 2),
-    (["rwalk", "--r", "0"], None, 2),
-    (["dims", "--n", "0"], None, 2),
+@pytest.mark.parametrize("argv,patch,expected,stderr_has", [
+    (["rwalk", "--samples", "0"], None, 2, None),
+    (["rwalk", "--r", "0"], None, 2, None),
+    (["rwalk", "--r", "1", "--steps", "-1", "--samples", "1"], None, 2, "steps >= 0"),
+    (["dims", "--n", "0"], None, 2, None),
     (["strongconv", "--r", "2", "--n", "1", "--k", "2", "--l", "2",
-      "--poly", "a+A+b+B", "--reference", "3.4641016"], None, 2),
+      "--poly", "a+A+b+B", "--reference", "3.4641016"], None, 2, None),
     (["strongconv", "--r", "2", "--n", "5", "--k", "1", "--l", "0",
-      "--poly", "a+A+b+B", "--reference", "3.4641016"], _no_convergence, 3),
-    (["wg", "--L", "2", "--cycle-type", "1,1", "--n", "1"], None, 2),
+      "--poly", "a+A+b+B", "--reference", "3.4641016"], _no_convergence, 3, None),
+    (["wg", "--L", "2", "--cycle-type", "1,1", "--n", "1"], None, 2, None),
     (["strongconv", "--r", "2", "--n", "5", "--k", "1", "--l", "0",
-      "--poly", "a+A", "--reference", "2", "--samples", "0"], None, 2),
-    (["bounds", "gcheck", "--L", "56", "--i", "2"], None, 3),
-    (["interp", "--word", "a", "--lambda", "1", "--n-start", "0"], None, 2),
+      "--poly", "a+A", "--reference", "2", "--samples", "0"], None, 2, None),
+    (["bounds", "gcheck", "--L", "56", "--i", "2"], None, 3, None),
+    (["interp", "--word", "a", "--lambda", "1", "--n-start", "0"], None, 2, None),
     (["strongconv", "--r", "2", "--n", "5", "--k", "-1", "--l", "0",
-      "--poly", "a+A", "--reference", "2"], None, 2),
+      "--poly", "a+A", "--reference", "2"], None, 2, None),
     (["strongconv", "--r", "2", "--n", "5", "--k", "1", "--l", "-1",
-      "--poly", "a+A", "--reference", "2"], None, 2),
-    (["selftest", "--samples", "0"], None, 2),
-    (["selftest", "--samples", "1"], None, 2),
-    (["expect", "--word", "a", "--lambda", "1", "--mu", "1", "--n", "1"], None, 2),
-], ids=["rwalk-samples-0", "rwalk-r-0", "dims-n-0", "strongconv-n-below-k",
-        "strongconv-no-convergence", "wg-n-below-L", "strongconv-samples-0",
+      "--poly", "a+A", "--reference", "2"], None, 2, None),
+    (["selftest", "--samples", "0"], None, 2, None),
+    (["selftest", "--samples", "1"], None, 2, None),
+    (["expect", "--word", "a", "--lambda", "1", "--mu", "1", "--n", "1"], None, 2, None),
+    (["strongconv", "--r", "0", "--poly", "e", "--n", "3", "--k", "1", "--l", "0"],
+     None, 2, "r=0"),
+    (["strongconv", "--r", "1", "--poly", "a+b", "--n", "3", "--k", "1", "--l", "0"],
+     None, 2, "above r=1"),
+    (["strongconv", "--r", "2", "--poly", "a", "--k", "1", "--l", "0"], None, 2, "--n"),
+], ids=["rwalk-samples-0", "rwalk-r-0", "rwalk-steps-negative", "dims-n-0",
+        "strongconv-n-below-k", "strongconv-no-convergence", "wg-n-below-L", "strongconv-samples-0",
         "gcheck-float-overflow", "interp-n-start-0", "strongconv-k-negative",
         "strongconv-l-negative", "selftest-samples-0", "selftest-samples-1",
-        "expect-n-below-lengths"])
-def test_failures_end_with_mapped_exit_code(capsys, monkeypatch, argv, patch, expected):
+        "expect-n-below-lengths", "strongconv-r-0", "strongconv-term-above-r",
+        "strongconv-no-n"])
+def test_failures_end_with_mapped_exit_code(capsys, monkeypatch, argv, patch, expected,
+                                            stderr_has):
     if patch is not None:
         monkeypatch.setattr(montecarlo, "estimate_norm", patch)
     code, out, err = run_cli(capsys, *argv)
     assert code == expected
     assert out == "" and err.strip()
+    if stderr_has is not None:
+        assert stderr_has in err
 
 
 def test_selftest_small_sample(capsys):
@@ -196,6 +206,12 @@ def _argv_for(command):
     if command == "dims":
         return st.tuples(_small, _small).map(
             lambda t: ["dims", "--n", t[0], "--l1-cap", t[1]])
+    if command == "strongconv":
+        degree = st.integers(min_value=-1, max_value=2).map(str)
+        return st.tuples(st.integers(min_value=-1, max_value=3).map(str), _small, degree,
+                         degree, st.sampled_from(["e", "a+A", "a+b", "b"])).map(
+            lambda t: ["strongconv", "--reference", "1", "--r", t[0], "--n", t[1],
+                       "--k", t[2], "--l", t[3], "--poly", t[4]])
     return st.tuples(_small, st.sampled_from(["uniform-gen", "lazy-uniform"]),
                      _small, _small).map(
         lambda t: ["rwalk", "--r", t[0], "--measure", t[1], "--steps", t[2],
@@ -204,7 +220,8 @@ def _argv_for(command):
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.sampled_from(["expect", "wg", "interp", "dims", "rwalk"]).flatmap(_argv_for))
+@given(st.sampled_from(["expect", "wg", "interp", "dims", "rwalk", "strongconv"])
+       .flatmap(_argv_for))
 def test_small_inputs_exit_with_a_mapped_code(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code in (0, 2, 3, 4), argv

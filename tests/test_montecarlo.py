@@ -26,7 +26,7 @@ def test_haar_unitary_residual_and_determinism():
 
 def test_haar_phase_mean_n1():
     # one batch of 100,000 draws consumes the stream as single draws do
-    vals = mc.sample_tuple(1, 1, mc.substream(123, "phase"), batch=100000).matrices[0][:, 0, 0]
+    vals = mc.sample_tuple(1, 1, mc.substream(123, "phase"), batch=100000)[0][:, 0, 0]
     assert abs(vals.mean()) < 0.02
     rng = mc.substream(123, "phase")
     assert [mc.haar_unitary(1, rng)[0, 0] for _ in range(5)] == list(vals[:5])
@@ -63,7 +63,7 @@ def mezzadri_unitary(n, rng):
 
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_batched_draws_match_sequential_draws(n):
-    batch = mc.sample_tuple(2, n, np.random.default_rng(8), batch=7).matrices
+    batch = mc.sample_tuple(2, n, np.random.default_rng(8), batch=7)
     assert len(batch) == 2 and batch[0].shape == (7, n, n)
     rng, ref = np.random.default_rng(8), np.random.default_rng(8)
     for s in range(7):
@@ -73,7 +73,7 @@ def test_batched_draws_match_sequential_draws(n):
             assert np.array_equal(u, mezzadri_unitary(n, ref))
     if n < 2:
         return
-    batch = mc.sample_tuple(2, n, np.random.default_rng(9), batch=7, group="SU").matrices
+    batch = mc.sample_tuple(2, n, np.random.default_rng(9), batch=7, group="SU")
     rng = np.random.default_rng(9)
     for s in range(7):
         for j in range(2):
@@ -103,7 +103,7 @@ def test_every_drawn_matrix_is_checked(monkeypatch):
     with pytest.raises(ValidationError, match="unitarity"):
         mc.sample_tuple(2, 4, np.random.default_rng(0), batch=5)
     monkeypatch.undo()
-    stack = mc.sample_tuple(1, 4, np.random.default_rng(0), group="SU", batch=5).matrices[0].copy()
+    stack = mc.sample_tuple(1, 4, np.random.default_rng(0), group="SU", batch=5)[0].copy()
     stack[3, :, 0] *= 1j               # still unitary, determinant i
     mc._check_draws(stack, "U")
     with pytest.raises(ValidationError, match="determinant"):
@@ -115,7 +115,7 @@ def per_sample_mc_expect(lam, mu, w, n, samples, rng, group="U"):
     rng = np.random.default_rng(rng)
     vals = np.empty(samples, dtype=complex)
     for i in range(samples):
-        us = mc.sample_tuple(max(w.rank, 1), n, rng, group=group).matrices
+        us = mc.sample_tuple(max(w.rank, 1), n, rng, group=group)
         eig = np.linalg.eigvals(fg.evaluate_word(w, us))
         eig /= np.abs(eig)
         vals[i] = mc.weyl_character_eval(lam, mu, eig)
@@ -138,7 +138,7 @@ def test_stacked_character_matches_rows(monkeypatch):
     rng = np.random.default_rng(4)
     eig = np.exp(2j * np.pi * rng.random((6, 4)))
     eig[1, 2] = eig[1, 0] * np.exp(1e-9j)              # near collision: Richardson
-    us = mc.sample_tuple(1, 4, rng, batch=6).matrices
+    us = mc.sample_tuple(1, 4, rng, batch=6)
     eig[4] = np.linalg.eigvals(fg.evaluate_word(fg.parse_word("aA"), us))[4]   # scalar
     weight = (2, 1, 0, -1)
     rows = [mc._char_eval(weight, e) for e in eig]

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haarwords import freegroup as fg
 from haarwords import rwalk
@@ -291,13 +293,87 @@ def test_vectorized_proper_power_against_reference():
         assert mask[i] == (fg.is_proper_power(w) is not None)
 
 
-def test_proper_power_stats_generic_support():
-    q = Fraction(1, 4)
-    ab, ba = fg.parse_word("ab"), fg.parse_word("ba")
-    a = fg.parse_word("a")
-    m = rwalk.WalkMeasure({ab: q, ab.inverse(): q, a: q, a.inverse(): q}, rank=2)
-    stats = rwalk.proper_power_stats(m, steps=5, samples=300, seed=2)
-    assert len(stats.rows) == 5
+def _support_measure(texts, rank):
+    """The uniform measure on the given words ('' is the identity)."""
+    words = [fg.parse_word(t, rank) for t in texts]
+    return rwalk.WalkMeasure({w: Fraction(1, len(words)) for w in words}, rank=rank)
+
+
+def _replayed_walks(measure, steps, samples, seed):
+    """The oracle for the vectorised walker: per step, the same single
+    `choice` draw over the support in support order, then one `Word`
+    product per sample.  Yields the list of sample words after each step."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    words = list(measure.support)
+    probs = np.array([float(p) for p in measure.support.values()])
+    probs = probs / probs.sum()
+    gs = [Word((), measure.rank)] * samples
+    for _ in range(steps):
+        pick = rng.choice(len(words), size=samples, p=probs)
+        gs = [g * words[k] for g, k in zip(gs, pick)]
+        yield gs
+
+
+def _assert_walker_matches_words(measure, steps, samples, seed):
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    walks = rwalk._walker(measure, steps, samples, rng)
+    for (t, buf, lengths), gs in zip(walks, _replayed_walks(measure, steps, samples, seed)):
+        for i, g in enumerate(gs):
+            assert lengths[i] == len(g), (t, i)
+            assert tuple(int(x) for x in buf[i, :lengths[i]]) == g.letters, (t, i)
+
+
+@pytest.mark.parametrize("texts", [("ab", "BA", "ba", "AB"), ("", "a", "A", "abA", "aBA"),
+                                   ("", "a", "A", "b", "B")])
+def test_walker_rows_are_word_products(texts):
+    _assert_walker_matches_words(_support_measure(texts, 2), 12, 3000, 17)
+
+
+_supports = st.integers(min_value=1, max_value=3).flatmap(
+    lambda r: st.tuples(
+        st.just(r),
+        st.lists(st.lists(st.sampled_from([x for i in range(1, r + 1) for x in (i, -i)]),
+                          min_size=1, max_size=3), min_size=1, max_size=4),
+        st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_supports, st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=2**32))
+def test_walker_matches_replayed_word_products(case, steps, seed):
+    r, letter_lists, with_identity = case
+    support = {Word(tuple(letters), r) for letters in letter_lists}
+    if with_identity:
+        support.add(Word((), r))
+    measure = rwalk.WalkMeasure({w: Fraction(1, len(support)) for w in support}, rank=r)
+    _assert_walker_matches_words(measure, steps, 40, seed)
+
+
+@pytest.mark.parametrize("texts", [("", "a", "A", "abA", "aBA"), ("ab", "BA", "a", "A")])
+def test_proper_power_hits_match_word_loop(texts):
+    measure = _support_measure(texts, 2)
+    stats = rwalk.proper_power_stats(measure, steps=10, samples=800, seed=3)
+    for row, gs in zip(stats.rows, _replayed_walks(measure, 10, 800, 3)):
+        assert row["hits"] == sum(fg.is_proper_power(g) is not None for g in gs)
+
+
+def test_proper_power_stats_non_radial_matches_exact():
+    measure = _support_measure(("ab", "BA", "a", "A"), 2)
+    assert not measure.is_radial_nearest_neighbor()
+    hist = rwalk._convolve_distribution(measure, 6)
+    stats = rwalk.proper_power_stats(measure, steps=6, samples=40000, seed=23)
+    assert stats.return_probabilities == []
+    for t, row in enumerate(stats.rows, start=1):
+        exact = float(sum(p for w, p in hist[t].items() if fg.is_proper_power(w) is not None))
+        se = math.sqrt(max(exact * (1 - exact), 1e-12) / stats.samples)
+        assert abs(row["phat"] - exact) <= 5 * se + 1e-9
+
+
+def test_parity_lock_follows_support_lengths():
+    odd = _support_measure(("a", "A", "abA", "aBA"), 2)
+    assert rwalk.proper_power_stats(odd, steps=3, samples=10, seed=1).parity_locked
+    mixed = _support_measure(("ab", "BA", "a", "A"), 2)
+    assert not rwalk.proper_power_stats(mixed, steps=3, samples=10, seed=1).parity_locked
 
 
 def test_slope_of_proper_power_decay():
