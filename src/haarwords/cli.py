@@ -176,17 +176,12 @@ def _cmd_rwalk(args):
     else:
         raise ValidationError(f"unknown measure {args.measure!r}")
     stats = rwalk.proper_power_stats(mu, args.steps, args.samples, args.seed)
-    returns = {}
-    for n in range(1, args.steps + 1):
-        try:
-            returns[n] = rwalk.return_probability(mu, n)
-        except ResourceCapError:
-            returns[n] = None
+    # exact up to RADIAL_EXACT_STEP_CAP steps; later rows leave the cell empty
+    returns = stats.return_probabilities
     rows = []
     for row in stats.rows:
         n = row["n"]
-        ret = returns.get(n)
-        rows.append([n, str(ret) if ret is not None else "",
+        rows.append([n, str(returns[n]) if n < len(returns) else "",
                      row["phat"], row["ci_low"], row["ci_high"]])
     _emit_csv(["n", "return_prob", "proper_power_prob", "ci_low", "ci_high"], rows)
     return EXIT_OK

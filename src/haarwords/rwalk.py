@@ -19,6 +19,7 @@ GENERAL_CONVOLUTION_STEP_CAP = 20
 RADIAL_EXACT_STEP_CAP = 40
 CONVOLUTION_STATE_CAP = 500_000
 BALL_COMPRESSION_CAP = 200_000
+WALK_BUFFER_CAP = 50_000_000  # int8 cells of the (samples, steps * m + 1) walk stack
 COMPRESSION_TOL = 1e-5  # Ritz residual 1e-10: the bound is solved to near float accuracy
 
 
@@ -346,7 +347,11 @@ def _walker(measure, steps, samples, rng):
     for i, w in enumerate(words):
         table[i, :len(w)] = w.letters
     # one spare column, so a write just past the end of a row always fits
-    buf = np.zeros((samples, steps * table.shape[1] + 1), dtype=np.int8)
+    width = steps * table.shape[1] + 1
+    if samples * width > WALK_BUFFER_CAP:
+        raise ResourceCapError(f"walk stack of {samples} x {width} cells exceeds cap "
+                               f"{WALK_BUFFER_CAP}")
+    buf = np.zeros((samples, width), dtype=np.int8)
     lengths = np.zeros(samples, dtype=np.int64)
     for t in range(steps):
         pick = rng.choice(len(words), size=samples, p=probs)
@@ -375,41 +380,62 @@ def _right_multiply(buf, lengths, s, size):
     return lengths
 
 
-def _vectorized_proper_power(words, lengths):
-    """Boolean mask of which rows (reduced words) are proper powers."""
+def _prime_shifts(n):
+    """(n + 1, k) table whose row L holds L / q for each prime q dividing L,
+    then zeros; k >= 1 is the most distinct primes of any L <= n."""
+    cols = [[] for _ in range(n + 1)]
+    for q in range(2, n + 1):
+        if not cols[q]:  # no smaller prime divides q
+            for L in range(q, n + 1, q):
+                cols[L].append(L // q)
+    table = np.zeros((n + 1, max(1, *map(len, cols))), dtype=np.int64)
+    for L, shifts in enumerate(cols):
+        table[L, :len(shifts)] = shifts
+    return table
+
+
+def _vectorized_proper_power(words, lengths, shifts=None):
+    """Boolean mask of which rows (reduced words) are proper powers.
+
+    A row's cyclically reduced core c of length L is a proper power iff it
+    equals its rotation by L/q for some prime q dividing L.  Both the strip
+    of matching end letters and each rotation compare go one letter column
+    at a time, on the rows that still match.  `shifts` is a
+    `_prime_shifts` table covering the longest row; letters past a row's
+    length are never read."""
     samples, width = words.shape
     out = np.zeros(samples, dtype=bool)
-    if width == 0:
-        return out
-    max_strip = (lengths - 1) // 2
-    jmax = int(max_strip.max()) if samples else 0
+    if shifts is None:
+        shifts = _prime_shifts(int(lengths.max(initial=0)))
+    flat = words.reshape(-1)
+    # cyclic reduction: lo and hi are the flat indices of the next end pair
     strip = np.zeros(samples, dtype=np.int64)
-    if jmax > 0:
-        js = np.arange(jmax)
-        mirror_idx = np.clip(lengths[:, None] - 1 - js[None, :], 0, width - 1)
-        left = words[:, :jmax]
-        right = np.take_along_axis(words, mirror_idx, axis=1)
-        cond = (js[None, :] < max_strip[:, None]) & (left == -right) & (left != 0)
-        strip = np.cumprod(cond, axis=1).sum(axis=1)
-    core_len = lengths - 2 * strip
-    for L in np.unique(core_len):
-        L = int(L)
-        if L < 2:
-            continue
-        rows = np.where(core_len == L)[0]
-        if not len(rows):
-            continue
-        found = np.zeros(len(rows), dtype=bool)
-        for p in range(1, L // 2 + 1):
-            if L % p:
-                continue
-            t = np.arange(L - p)
-            idx_a = strip[rows][:, None] + t[None, :]
-            idx_b = idx_a + p
-            a = np.take_along_axis(words[rows], idx_a, axis=1)
-            b = np.take_along_axis(words[rows], idx_b, axis=1)
-            found |= np.all(a == b, axis=1)
-        out[rows] = found
+    rows = np.flatnonzero(lengths >= 3)
+    lo = rows * width
+    hi = lo + lengths[rows] - 1
+    while len(rows):
+        keep = (flat[lo] == -flat[hi]) & (hi - lo >= 2)
+        rows, lo, hi = rows[keep], lo[keep] + 1, hi[keep] - 1
+        strip[rows] += 1
+    core = lengths - 2 * strip
+    # one candidate (row, prime) pair per prime dividing the core length:
+    # pos walks the core from its start, and the compare against pos +
+    # shift has succeeded at every index below end
+    pos, shift, end = [], [], []
+    for k in range(shifts.shape[1]):
+        s = shifts[core, k]
+        rows = np.flatnonzero(s)
+        pos.append(rows * width + strip[rows])
+        shift.append(s[rows])
+        end.append(pos[-1] + core[rows] - shift[-1])
+    pos, shift, end = np.concatenate(pos), np.concatenate(shift), np.concatenate(end)
+    while len(pos):
+        same = flat[pos] == flat[pos + shift]
+        pos, shift, end = pos[same] + 1, shift[same], end[same]
+        done = pos == end
+        out[pos[done] // width] = True
+        keep = ~done
+        pos, shift, end = pos[keep], shift[keep], end[keep]
     return out
 
 
@@ -423,7 +449,7 @@ class ProperPowerStats:
     slope_stderr: float
     slope_window: tuple
     parity_locked: bool
-    return_probabilities: list
+    return_probabilities: list  # exact P(g_t = e), t <= RADIAL_EXACT_STEP_CAP; [] if not radial
 
     def to_json(self):
         return {
@@ -452,8 +478,12 @@ def proper_power_stats(measure, steps, samples, seed, slope_window=(10, 30)):
         raise ValidationError(f"need steps >= 0 and samples >= 1, got {steps} and {samples}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     rows = []
+    shifts = _prime_shifts(0)
     for t, buf, lengths in _walker(measure, steps, samples, rng):
-        mask = _vectorized_proper_power(buf, lengths)
+        longest = int(lengths.max())
+        if longest >= len(shifts):  # doubling: O(longest word) table work per call
+            shifts = _prime_shifts(2 * longest)
+        mask = _vectorized_proper_power(buf, lengths, shifts)
         hits = int(mask.sum())
         lo, hi = _wilson_interval(hits, samples)
         rows.append({"n": t + 1, "hits": hits, "phat": hits / samples,
@@ -463,8 +493,8 @@ def proper_power_stats(measure, steps, samples, seed, slope_window=(10, 30)):
     slope, stderr = _fit_slope(rows, samples, slope_window, parity_locked)
     exact_returns = []
     if measure.is_radial_nearest_neighbor():
-        exact_returns = [float(p) for p in
-                         _radial_return_probabilities(measure, steps, exact=False)]
+        exact_returns = _radial_return_probabilities(
+            measure, min(steps, RADIAL_EXACT_STEP_CAP))
     return ProperPowerStats(steps=steps, samples=samples, seed=seed, rows=rows,
                             slope=slope, slope_stderr=stderr,
                             slope_window=slope_window, parity_locked=parity_locked,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from haarwords import cli, montecarlo
+from haarwords import cli, montecarlo, rwalk
 from haarwords.errors import ConvergenceError
 
 
@@ -73,6 +73,20 @@ def test_rwalk_csv(capsys):
     assert row2[0] == "2" and row2[1] == "1/4"
     row4 = lines[4].split(",")
     assert row4[1] == "7/64"
+
+
+def test_rwalk_return_column_stops_at_the_exact_cap(capsys):
+    code, out, _ = run_cli(capsys, "rwalk", "--r", "2", "--measure", "uniform-gen",
+                           "--steps", "42", "--samples", "500")
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 42
+    mu = rwalk.WalkMeasure.uniform_generators(2)
+    for n, line in enumerate(rows, start=1):
+        cells = line.split(",")
+        assert cells[0] == str(n)
+        want = str(rwalk.return_probability(mu, n)) if n <= rwalk.RADIAL_EXACT_STEP_CAP else ""
+        assert cells[1] == want, n
 
 
 def test_strongconv_reproducible(capsys):
@@ -149,12 +163,13 @@ def _no_convergence(*args, **kwargs):
     (["strongconv", "--r", "1", "--poly", "a+b", "--n", "3", "--k", "1", "--l", "0"],
      None, 2, "above r=1"),
     (["strongconv", "--r", "2", "--poly", "a", "--k", "1", "--l", "0"], None, 2, "--n"),
+    (["rwalk", "--steps", "10000", "--samples", "1000000000"], None, 3, "exceeds cap"),
 ], ids=["rwalk-samples-0", "rwalk-r-0", "rwalk-steps-negative", "dims-n-0",
         "strongconv-n-below-k", "strongconv-no-convergence", "wg-n-below-L", "strongconv-samples-0",
         "gcheck-float-overflow", "interp-n-start-0", "strongconv-k-negative",
         "strongconv-l-negative", "selftest-samples-0", "selftest-samples-1",
         "expect-n-below-lengths", "strongconv-r-0", "strongconv-term-above-r",
-        "strongconv-no-n"])
+        "strongconv-no-n", "rwalk-stack-over-cap"])
 def test_failures_end_with_mapped_exit_code(capsys, monkeypatch, argv, patch, expected,
                                             stderr_has):
     if patch is not None:

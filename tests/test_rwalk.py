@@ -293,6 +293,110 @@ def test_vectorized_proper_power_against_reference():
         assert mask[i] == (fg.is_proper_power(w) is not None)
 
 
+def _cyclically_reduced(r, picks):
+    """A cyclically reduced letter tuple of length len(picks): pick k takes
+    entry k (mod the choices) among the letters that cancel neither the
+    previous letter nor, in the last position, the first."""
+    alphabet = [x for i in range(1, r + 1) for x in (i, -i)]
+    out = []
+    for j, k in enumerate(picks):
+        allowed = [x for x in alphabet if not out or x != -out[-1]]
+        if j == len(picks) - 1 and out:
+            allowed = [x for x in allowed if x != -out[0]]
+        out.append(allowed[k % len(allowed)])
+    return tuple(out)
+
+
+_picks = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=6)
+_conjugators = st.lists(st.integers(min_value=0, max_value=5), max_size=4)
+
+
+@st.composite
+def _proper_power_rows(draw):
+    """Words shaped like the walker's rows: random reduced words of length
+    0..31, conjugated powers u^k (k = 2..6), one-letter powers of prime
+    length, length-30 cores with periods 6, 10 and 15, and near misses
+    (a power times one more letter)."""
+    r = draw(st.integers(min_value=1, max_value=3))
+    alphabet = [x for i in range(1, r + 1) for x in (i, -i)]
+    kind = st.sampled_from(["random", "power", "prime", "period30", "near"])
+    words = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        case = draw(kind)
+        if case == "random":
+            w = Word(tuple(draw(st.lists(st.sampled_from(alphabet), max_size=31))), r)
+        elif case == "prime":
+            q = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+            w = Word((draw(st.sampled_from(alphabet)),) * q, r)
+        else:
+            if case == "period30":
+                p = draw(st.sampled_from([6, 10, 15]))
+                u = Word(_cyclically_reduced(r, draw(st.lists(
+                    st.integers(min_value=0, max_value=5), min_size=p, max_size=p))), r)
+                w = u ** (30 // p)
+            else:
+                w = Word(_cyclically_reduced(r, draw(_picks)), r) ** draw(
+                    st.integers(min_value=2, max_value=6))
+            if case == "near":
+                w = w * Word((draw(st.sampled_from(alphabet)),), r)
+            g = Word(_cyclically_reduced(r, draw(_conjugators)), r) if draw(
+                st.booleans()) else Word((), r)
+            w = g * w * g.inverse()
+        words.append(w)
+    return r, words, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_proper_power_rows())
+def test_vectorized_proper_power_matches_kmp_on_walker_rows(case):
+    r, words, seed = case
+    alphabet = np.array([x for i in range(1, r + 1) for x in (i, -i)], dtype=np.int8)
+    width = max(len(w) for w in words) + 3
+    # stale non-zero letters past each row's end, as the walker leaves them
+    buf = np.random.default_rng(seed).choice(alphabet, size=(len(words), width))
+    lengths = np.array([len(w) for w in words], dtype=np.int64)
+    for i, w in enumerate(words):
+        buf[i, :len(w)] = w.letters
+    want = [fg.is_proper_power(w) is not None for w in words]
+    assert rwalk._vectorized_proper_power(buf, lengths).tolist() == want
+    wide = rwalk._prime_shifts(2 * width)
+    assert rwalk._vectorized_proper_power(buf, lengths, wide).tolist() == want
+
+
+def test_prime_shifts_table():
+    table = rwalk._prime_shifts(30)
+    assert table.shape == (31, 3)
+    assert table[30].tolist() == [15, 10, 6]
+    assert table[7].tolist() == [1, 0, 0]
+    assert table[12].tolist() == [6, 4, 0]
+    assert not table[:2].any()
+    assert rwalk._prime_shifts(0).shape == (1, 1)
+
+
+def test_walker_cap_raises_before_allocating():
+    mu = rwalk.WalkMeasure.uniform_generators(2)
+    just_over = rwalk.WALK_BUFFER_CAP // 31 + 1
+    tracemalloc.start()
+    try:
+        for steps, samples in ((30, just_over), (10**4, 10**9)):
+            with pytest.raises(ResourceCapError, match="exceeds cap"):
+                rwalk.proper_power_stats(mu, steps, samples, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_return_probabilities_are_exact_up_to_the_cap():
+    mu = rwalk.WalkMeasure.lazy_uniform(2)
+    stats = rwalk.proper_power_stats(mu, steps=6, samples=10, seed=1)
+    assert stats.return_probabilities == [rwalk.return_probability(mu, n) for n in range(7)]
+    mu = rwalk.WalkMeasure.uniform_generators(2)
+    stats = rwalk.proper_power_stats(mu, steps=42, samples=10, seed=1)
+    assert len(stats.return_probabilities) == rwalk.RADIAL_EXACT_STEP_CAP + 1
+    assert stats.return_probabilities[40] == rwalk.return_probability(mu, 40)
+
+
 def _support_measure(texts, rank):
     """The uniform measure on the given words ('' is the identity)."""
     words = [fg.parse_word(t, rank) for t in texts]
