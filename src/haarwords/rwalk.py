@@ -418,9 +418,9 @@ def _vectorized_proper_power(words, lengths, shifts=None):
         rows, lo, hi = rows[keep], lo[keep] + 1, hi[keep] - 1
         strip[rows] += 1
     core = lengths - 2 * strip
-    # one candidate (row, prime) pair per prime dividing the core length:
-    # pos walks the core from its start, and the compare against pos +
-    # shift has succeeded at every index below end
+    # one candidate (row, prime) pair per prime dividing the core length;
+    # every core index below pos equals the letter `shift` further on, and
+    # the core is a power once pos reaches end = start + L - shift
     pos, shift, end = [], [], []
     for k in range(shifts.shape[1]):
         s = shifts[core, k]
