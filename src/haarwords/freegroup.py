@@ -289,13 +289,13 @@ def evaluate_word(w, matrices):
         if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape != shape:
             raise ShapeError(f"matrices must all be square of one size, got {m.shape}")
     n = shape[-1]
-    out = np.broadcast_to(np.eye(n, dtype=complex), shape).copy()
+    if not w.letters:
+        return np.broadcast_to(np.eye(n, dtype=complex), shape).copy()
+    out = None
     inverses = {}
     for x in w.letters:
         u = mats[abs(x) - 1]
-        if x > 0:
-            out = out @ u
-        else:
+        if x < 0:
             key = abs(x) - 1
             if key not in inverses:
                 adjoint = u.swapaxes(-1, -2).conj()
@@ -303,7 +303,9 @@ def evaluate_word(w, matrices):
                 if not np.all(unitary):
                     adjoint = np.where(unitary[..., None, None], adjoint, np.linalg.inv(u))
                 inverses[key] = adjoint
-            out = out @ inverses[key]
+            u = inverses[key]
+        # a copy, not the caller's matrix: the result must not alias an input
+        out = u.copy() if out is None else out @ u
     return out
 
 

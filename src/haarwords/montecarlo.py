@@ -369,36 +369,26 @@ class ImplicitTensorOperator:
         return out
 
 
-def _apply_along_axis(mat, tensor, axis):
-    moved = np.tensordot(mat, tensor, axes=(1, axis))
-    return np.moveaxis(moved, 0, axis)
-
-
 def tensor_representation(u, k, l):
-    """pi0_{k,l}(u) = u^{(x)k} (x) conj(u)^{(x)l} as a matrix-free operator."""
+    """pi0_{k,l}(u) = u^{(x)k} (x) conj(u)^{(x)l} as a matrix-free operator.
+
+    Each leg is one gemm on the leading axis of the flat vector:
+    t.reshape(n, -1).T @ g contracts that axis with g and puts the new leg
+    last, so after the k + l products the axes are back in order.  The
+    transpose is a BLAS flag, so no leg copies the vector.
+    """
     u = np.asarray(u, dtype=complex)
     n = u.shape[0]
-    uc = u.conj()
-    uh = u.conj().T
-    uhc = u.T
 
-    def apply_fn(vec):
-        t = vec.reshape((n,) * (k + l))
-        for axis in range(k):
-            t = _apply_along_axis(u, t, axis)
-        for axis in range(k, k + l):
-            t = _apply_along_axis(uc, t, axis)
-        return t.reshape(-1)
+    def legs(upper, lower):
+        def apply(vec):
+            for g in (upper,) * k + (lower,) * l:
+                vec = (vec.reshape(n, -1).T @ g).reshape(-1)
+            return vec
+        return apply
 
-    def adjoint_fn(vec):
-        t = vec.reshape((n,) * (k + l))
-        for axis in range(k):
-            t = _apply_along_axis(uh, t, axis)
-        for axis in range(k, k + l):
-            t = _apply_along_axis(uhc, t, axis)
-        return t.reshape(-1)
-
-    return ImplicitTensorOperator(n, k, l, apply_fn, adjoint_fn)
+    # (u t)_j = sum_i t_i u_ji, so a leg of u is a product with u.T
+    return ImplicitTensorOperator(n, k, l, legs(u.T, u.conj().T), legs(u.conj(), u))
 
 
 def word_representation(w, unitaries, k, l):
@@ -419,19 +409,16 @@ def _perm_gram_inverse(kfact_perms, n):
                       for t in kfact_perms] for s in kfact_perms])
 
 
-def _perm_vector(sigma, n, k):
-    """The invariant vector v_sigma with components delta(A = B o sigma)."""
-    v = np.zeros((n,) * (2 * k))
-    grids = np.indices((n,) * k).reshape(k, -1)
-    upper = [grids[sigma[t]] for t in range(k)]
-    v[tuple(upper) + tuple(grids)] = 1.0
-    return v.reshape(-1)
-
-
 def invariant_projector(k, l, n):
     """Orthogonal projector onto U(n)-invariant vectors of the mixed tensor
     power; the zero operator unless k = l, in which case the invariants are
-    spanned by the k! permutation tensors (rank k! for n >= k)."""
+    spanned by the k! permutation tensors (rank k! for n >= k).
+
+    The permutation tensor v_sigma has components delta(A = B o sigma), so
+    it is the indicator of n^k flat indices.  Only those indices are
+    stored: the overlaps <v_sigma, x> are gathers, and the projection
+    sum_{s,t} v_s Wg(s t^-1) <v_t, x> adds each weight back on its support.
+    """
     if k != l:
         return ImplicitTensorOperator.zero(n, k, l)
     if k == 0:
@@ -440,12 +427,17 @@ def invariant_projector(k, l, n):
         raise UnsupportedSizeError("invariant projector supported for k <= 4")
     sigmas = perms.all_perms(k)
     ginv = _perm_gram_inverse(sigmas, n)
-    vectors = np.stack([_perm_vector(s, n, k) for s in sigmas])
+    grids = np.indices((n,) * k).reshape(k, -1)
+    support = np.stack([np.ravel_multi_index(tuple(grids[list(s)]) + tuple(grids), (n,) * (2 * k))
+                        for s in sigmas])
 
     def apply_fn(vec):
-        overlaps = vectors @ vec          # <v_tau, x> for real 0/1 v_tau
-        weights = ginv @ overlaps
-        return vectors.T @ weights
+        weights = ginv @ vec[support].sum(axis=1)
+        out = np.zeros_like(vec, dtype=weights.dtype)
+        # a support lists each index once, so the buffered += drops no add
+        for idx, w in zip(support, weights):
+            out[idx] += w
+        return out
 
     return ImplicitTensorOperator(n, k, k, apply_fn, apply_fn)
 

@@ -19,7 +19,10 @@ GENERAL_CONVOLUTION_STEP_CAP = 20
 RADIAL_EXACT_STEP_CAP = 40
 CONVOLUTION_STATE_CAP = 500_000
 BALL_COMPRESSION_CAP = 200_000
-WALK_BUFFER_CAP = 50_000_000  # int8 cells of the (samples, steps * m + 1) walk stack
+WALK_BUFFER_CAP = 50_000_000  # bytes of a walk: its int8 stack plus one step's temporaries
+# int64 and bool temporaries per sample of one walker step and its proper-power
+# detection; tracemalloc reads 75-170 bytes up to 1,000 steps
+WALK_STEP_BYTES = 160
 COMPRESSION_TOL = 1e-5  # Ritz residual 1e-10: the bound is solved to near float accuracy
 
 
@@ -348,9 +351,9 @@ def _walker(measure, steps, samples, rng):
         table[i, :len(w)] = w.letters
     # one spare column, so a write just past the end of a row always fits
     width = steps * table.shape[1] + 1
-    if samples * width > WALK_BUFFER_CAP:
-        raise ResourceCapError(f"walk stack of {samples} x {width} cells exceeds cap "
-                               f"{WALK_BUFFER_CAP}")
+    if samples * (width + WALK_STEP_BYTES) > WALK_BUFFER_CAP:
+        raise ResourceCapError(f"walk of {samples} samples x ({width} stack + "
+                               f"{WALK_STEP_BYTES} step) bytes exceeds cap {WALK_BUFFER_CAP}")
     buf = np.zeros((samples, width), dtype=np.int8)
     lengths = np.zeros(samples, dtype=np.int64)
     for t in range(steps):

@@ -219,6 +219,20 @@ def test_evaluate_word_on_stacks_matches_per_matrix():
         fg.evaluate_word(fg.parse_word("ab"), (a, b[:4]))
 
 
+def test_one_letter_word_is_a_copy_of_its_matrix():
+    rng = np.random.default_rng(7)
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    m = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    for mats in ((u,), (m,)):
+        out = fg.evaluate_word(fg.parse_word("a"), mats)
+        assert np.array_equal(out, mats[0])
+        assert not np.shares_memory(out, mats[0])
+        inverse = fg.evaluate_word(fg.parse_word("A"), mats)
+        assert np.allclose(inverse @ mats[0], np.eye(3), atol=1e-12)
+        assert not np.shares_memory(inverse, mats[0])
+    assert np.array_equal(fg.evaluate_word(fg.parse_word("A"), (u,)), u.conj().T)
+
+
 def test_evaluate_word_shape_error():
     with pytest.raises(ShapeError):
         fg.evaluate_word(fg.parse_word("ab"), (np.eye(2), np.eye(3)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from haarwords import freegroup as fg
 from haarwords import montecarlo as mc
-from haarwords import selftest, weingarten
+from haarwords import perms, selftest, weingarten
 from haarwords.errors import ConvergenceError, ValidationError
 from haarwords.symgroup import Partition, partitions_of, schur_dim_poly
 
@@ -318,6 +319,55 @@ def test_tensor_operator_adjoint_pairing():
     assert abs(np.vdot(y, op.apply(x)) - np.vdot(op.adjoint().apply(y), x)) < 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_tensor_representation_matches_kron(n):
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for k, l in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)):
+        dense = np.ones((1, 1))
+        for factor in [m] * k + [m.conj()] * l:
+            dense = np.kron(dense, factor)
+        op = mc.tensor_representation(m, k, l)
+        assert np.max(np.abs(op.to_dense() - dense)) < 1e-12
+        assert np.max(np.abs(op.adjoint().to_dense() - dense.conj().T)) < 1e-12
+
+
+def _gram_projector_apply(k, n, vec):
+    """P vec = V^T (V V^T)^-1 V vec for the rows v_sigma of V, built densely
+    with components delta(A = B o sigma)."""
+    grids = np.indices((n,) * k).reshape(k, -1)
+    rows = []
+    for sigma in perms.all_perms(k):
+        v = np.zeros((n,) * (2 * k))
+        v[tuple(grids[list(sigma)]) + tuple(grids)] = 1.0
+        rows.append(v.reshape(-1))
+    v = np.array(rows)
+    return v.T @ np.linalg.solve(v @ v.T, v @ vec)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_invariant_projector_matches_dense_gram(k):
+    rng = np.random.default_rng(k)
+    for n in range(k, k + 3):
+        p = mc.invariant_projector(k, k, n)
+        for _ in range(2):
+            x = rng.standard_normal(n ** (2 * k)) + 1j * rng.standard_normal(n ** (2 * k))
+            assert np.max(np.abs(p.apply(x) - _gram_projector_apply(k, n, x))) < 1e-12
+
+
+def test_invariant_projector_stores_no_dense_vectors():
+    k, n = 3, 12
+    x = np.random.default_rng(3).standard_normal(n ** (2 * k)).astype(complex)
+    mc.invariant_projector(k, k, n)     # fills the Weingarten caches
+    tracemalloc.start()
+    try:
+        mc.invariant_projector(k, k, n).apply(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * x.nbytes
+
+
 def test_invariant_projector_ranks_and_commutation():
     rng = np.random.default_rng(8)
     z = mc.invariant_projector(1, 2, 4)
@@ -429,6 +479,35 @@ def test_polynomial_operator_matches_dense_sum():
     want = dense @ (np.eye(25) - mc.invariant_projector(1, 1, 5).to_dense())
     assert np.max(np.abs(op.to_dense() - want)) < 1e-12
     assert np.max(np.abs(op.adjoint().to_dense() - want.conj().T)) < 1e-12
+
+
+# (n, k, l): Lanczos steps and norm estimate of a+A+b+B at seed 20251017,
+# the `norms` bench shapes.  A change that moves them changes the seeded
+# stream and has to say so.
+NORM_STREAM = {
+    (300, 1, 0): (33, 3.41787046348652),
+    (80, 1, 1): (44, 3.4698558402629747),
+    (20, 2, 1): (40, 3.4581135631593503),
+    (12, 2, 2): (64, 3.4619448669812236),
+}
+
+
+def test_seeded_norm_stream_is_locked(monkeypatch):
+    estimate_norm = mc.estimate_norm
+    steps = []
+
+    def counted(*args, **kwargs):
+        est = estimate_norm(*args, **kwargs)
+        steps.append(est.iterations)
+        return est
+
+    monkeypatch.setattr(mc, "estimate_norm", counted)
+    terms = [(fg.parse_word(t, 2), 1) for t in ("a", "A", "b", "B")]
+    for (n, k, l), (iterations, value) in NORM_STREAM.items():
+        report = mc.strong_convergence_experiment(2, n, k, l, terms, 1, 20251017,
+                                                  reference=2 * math.sqrt(3))
+        assert steps.pop() == iterations
+        assert report.norm_estimates[0] == pytest.approx(value, rel=1e-12, abs=0)
 
 
 def test_mc_sample_count_needs_two():

@@ -387,6 +387,27 @@ def test_walker_cap_raises_before_allocating():
     assert peak < 100_000
 
 
+def test_walker_cap_bounds_the_real_peak(monkeypatch):
+    """The cap counts the per-sample step temporaries, not only the int8
+    stack, so a walk just under it peaks at about the cap."""
+    cap = 4_000_000
+    monkeypatch.setattr(rwalk, "WALK_BUFFER_CAP", cap)
+    for mu, steps in ((rwalk.WalkMeasure.uniform_generators(2), 1),
+                      (rwalk.WalkMeasure.uniform_generators(2), 30),
+                      (_support_measure(["ab", "BA", "a", "A"], 2), 20)):
+        width = steps * max(len(w) for w in mu.support) + 1
+        samples = cap // (width + rwalk.WALK_STEP_BYTES)
+        tracemalloc.start()
+        try:
+            rwalk.proper_power_stats(mu, steps, samples, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * cap
+        with pytest.raises(ResourceCapError, match="exceeds cap"):
+            rwalk.proper_power_stats(mu, steps, samples + 1, 1)
+
+
 def test_return_probabilities_are_exact_up_to_the_cap():
     mu = rwalk.WalkMeasure.lazy_uniform(2)
     stats = rwalk.proper_power_stats(mu, steps=6, samples=10, seed=1)
