@@ -11,34 +11,61 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import perms
-from .errors import UnsupportedSizeError, ValidationError
+from .errors import StructureViolationError, UnsupportedSizeError, ValidationError
 from .ratfunc import Polynomial, RationalFunction
-from .symgroup import Partition, char_table, partitions_of
+from .symgroup import Partition, char_table
 
 WG_DEGREE_CAP = 8
 Z_DEGREE_CAP = 6
 
 
 @lru_cache(maxsize=None)
-def _wg_by_cycle_type(L, ct):
+def pole_orders(L):
+    """The common denominator D_L(n) = prod (n + c)^m(L, c) over |c| < L,
+    as {c: m(L, c)}.  Every content c of lambda |- L has |c| < L and occurs
+    at most m(L, c) times, so every Wg_L denominator divides D_L."""
+    return {c: pole_multiplicity(L, c) for c in range(1 - L, L)}
+
+
+@lru_cache(maxsize=None)
+def common_denominator(L):
+    """D_L(n) as a monic Polynomial."""
+    den = Polynomial((1,))
+    for c, m in pole_orders(L).items():
+        den = den * Polynomial((c, 1)) ** m
+    return den
+
+
+@lru_cache(maxsize=None)
+def lifted_wg(L, ct):
+    """The numerator N with Wg_L(ct) = N / D_L: the character sum over
+    lambda |- L, each term chi(1)^2 / s_lambda(1) * chi(ct) / L!^2 with
+    s_lambda(1) = prod (n + c) / prod hooks lifted onto D_L.  Sums of
+    Weingarten values over D_L add numerators and normalise once."""
     table = char_table(L)
-    pi = perms.perm_of_cycle_type(ct, L)
-    total = RationalFunction(0)
-    fact2 = Fraction(1, math.factorial(L) ** 2)
+    rho = Partition(ct)
+    num = Polynomial()
     for lam in table.partitions:
-        d = table.dim(lam)
-        chi = table.chi(lam, Partition(perms.cycle_type(pi)))
+        chi = table.chi(lam, rho)
         if chi == 0:
             continue
-        num = Polynomial((1,))
+        excess = dict(pole_orders(L))
         for c in lam.contents():
-            num = num * Polynomial((c, 1))
-        hook_prod = 1
-        for h in lam.hooks():
-            hook_prod *= h
-        # chi(1)^2 / s_lambda(1) * chi(pi), with s_lambda(1) = num / hook_prod
-        total = total + RationalFunction(Polynomial((d * d * hook_prod * chi,)), num)
-    return total * fact2
+            excess[c] -= 1
+        if min(excess.values()) < 0:
+            raise StructureViolationError(
+                f"content multiplicities of {lam} exceed the pole orders of D_{L}",
+                details={"lambda": lam.to_json(), "excess": excess})
+        term = Polynomial((table.dim(lam) ** 2 * math.prod(lam.hooks()) * chi,))
+        for c, e in excess.items():
+            term = term * Polynomial((c, 1)) ** e
+        num = num + term
+    return num * Fraction(1, math.factorial(L) ** 2)
+
+
+@lru_cache(maxsize=None)
+def _wg_by_cycle_type(L, ct):
+    return RationalFunction(lifted_wg(L, ct), common_denominator(L))
 
 
 def wg(L, pi):
@@ -80,20 +107,6 @@ def pole_multiplicity(L, c):
     while (d + 1) * (d + 1 + abs(c)) <= L:
         d += 1
     return d
-
-
-def factor_multiplicity(poly, c):
-    """Multiplicity of (x + c) in an exact polynomial."""
-    mult = 0
-    probe = poly
-    divisor = Polynomial((c, 1))
-    while not probe.is_zero():
-        q, r = probe.divmod(divisor)
-        if not r.is_zero():
-            break
-        mult += 1
-        probe = q
-    return mult
 
 
 @lru_cache(maxsize=None)
@@ -287,19 +300,19 @@ def z_element(lam, mu):
     const = {s: scale * c for s, c in const.items()}
 
     # Multiply by the central Weingarten element, grouping by the cycle
-    # type of sigma^-1 pi so each target permutation costs one rational
-    # function operation per conjugacy class.
-    wg_by_type = {ct.parts: _wg_by_cycle_type(m, ct.parts) for ct in partitions_of(m)}
+    # type of sigma^-1 pi; each target permutation sums the lifted
+    # numerators over D_m and normalises once.
+    den = common_denominator(m)
     out = {}
     for pi in perms.all_perms(m):
         by_type = {}
         for sigma, c in const.items():
             ct = perms.cycle_type(perms.compose(perms.inverse(sigma), pi))
             by_type[ct] = by_type.get(ct, Fraction(0)) + c
-        total = RationalFunction(0)
+        num = Polynomial()
         for ct, c in by_type.items():
             if c != 0:
-                total = total + wg_by_type[ct] * c
-        if not total.is_zero():
-            out[pi] = total
+                num = num + lifted_wg(m, ct) * c
+        if not num.is_zero():
+            out[pi] = RationalFunction(num, den)
     return SymAlgebraElement(m, out)

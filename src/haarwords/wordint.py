@@ -23,7 +23,7 @@ from .errors import (StructureViolationError, TheoremViolationError,
 from .freegroup import Word, is_proper_power, whitehead_minimal
 from .ratfunc import Polynomial, RationalFunction
 from .symgroup import Partition, koike_expand, powersum_schur_basechange
-from .weingarten import wg
+from .weingarten import common_denominator, lifted_wg, wg
 
 OCCURRENCE_CAP = 4
 HELD_OUT_POINTS = 5
@@ -181,12 +181,19 @@ def exact_word_moment(monomial, n=None, max_occurrence=OCCURRENCE_CAP, explain=F
                 term *= wg(L, ct)(nf)
             total += term
         return (total, None) if explain else total
-    total = RationalFunction(0)
+    # Symbolically: per group of cycle types, the integer polynomial
+    # sum count * n^loops times each generator's Weingarten numerator over
+    # its D_L; the numerators add, and the sum normalises once.
+    loops_by_cts = {}
     for (cts, loops), count in table.items():
-        term = RationalFunction(Polynomial((0,) * loops + (count,)))
+        loops_by_cts.setdefault(cts, {})[loops] = count
+    num = Polynomial()
+    for cts, counts in loops_by_cts.items():
+        term = Polynomial([counts.get(i, 0) for i in range(max(counts) + 1)])
         for L, ct in zip(degrees, cts):
-            term = term * wg(L, ct)
-        total = total + term
+            term = term * lifted_wg(L, ct)
+        num = num + term
+    total = RationalFunction(num, math.prod(common_denominator(L) for L in degrees))
     return (total, None) if explain else total
 
 

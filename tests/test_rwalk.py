@@ -376,6 +376,10 @@ def test_prime_shifts_table():
 def test_walker_cap_raises_before_allocating():
     mu = rwalk.WalkMeasure.uniform_generators(2)
     just_over = rwalk.WALK_BUFFER_CAP // 31 + 1
+    # the first call of a process sets up numpy's random machinery (about
+    # 1 MB); refuse once outside the window so only the refusal is measured
+    with pytest.raises(ResourceCapError, match="exceeds cap"):
+        rwalk.proper_power_stats(mu, 30, just_over, 1)
     tracemalloc.start()
     try:
         for steps, samples in ((30, just_over), (10**4, 10**9)):

@@ -5,9 +5,9 @@ import pytest
 
 from haarwords import perms, weingarten as wg
 from haarwords import selftest
-from haarwords.errors import UnsupportedSizeError, ValidationError
+from haarwords.errors import StructureViolationError, UnsupportedSizeError, ValidationError
 from haarwords.ratfunc import Polynomial, RationalFunction
-from haarwords.symgroup import Partition, partitions_of
+from haarwords.symgroup import Partition, char_table, partitions_of, schur_dim_poly
 
 
 def test_wg_closed_forms():
@@ -54,12 +54,55 @@ def test_pole_multiplicity_examples():
         wg.pole_multiplicity(3, 5)
 
 
+def factor_multiplicity(poly, c):
+    """Multiplicity of (x + c) in an exact polynomial."""
+    mult = 0
+    probe = poly
+    divisor = Polynomial((c, 1))
+    while not probe.is_zero():
+        q, r = probe.divmod(divisor)
+        if not r.is_zero():
+            break
+        mult += 1
+        probe = q
+    return mult
+
+
 @pytest.mark.parametrize("L", range(1, 6))
 def test_pole_multiplicity_bounds_actual_denominators(L):
     for ct in partitions_of(L):
         den = wg.wg(L, ct.parts).den
         for c in range(-L, L + 1):
-            assert wg.factor_multiplicity(den, c) <= wg.pole_multiplicity(L, c)
+            assert factor_multiplicity(den, c) <= wg.pole_multiplicity(L, c)
+
+
+def wg_by_character_sum(L, ct):
+    """Wg_L(ct) as one RationalFunction add per lambda |- L:
+    sum chi(1)^2 chi(ct) / (L!^2 s_lambda(1))."""
+    table = char_table(L)
+    total = RationalFunction(0)
+    for lam in table.partitions:
+        total = total + table.dim(lam) ** 2 * table.chi(lam, ct) / schur_dim_poly(lam)
+    return total * Fraction(1, math.factorial(L) ** 2)
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_shared_denominator_sum_matches_per_lambda_sum(L):
+    D = wg.common_denominator(L)
+    assert D == math.prod((Polynomial((c, 1)) ** m for c, m in wg.pole_orders(L).items()),
+                          start=Polynomial((1,)))
+    for ct in partitions_of(L):
+        value = wg.wg(L, ct.parts)
+        assert value == wg_by_character_sum(L, ct)
+        quotient, remainder = D.divmod(value.den)
+        assert remainder.is_zero()
+        assert wg.lifted_wg(L, ct.parts) == value.num * quotient
+
+
+def test_content_beyond_pole_order_raises(monkeypatch):
+    monkeypatch.setattr(wg, "pole_orders", lambda L: {c: 0 for c in range(1 - L, L)})
+    with pytest.raises(StructureViolationError, match="exceed the pole orders"):
+        wg.lifted_wg.__wrapped__(3, (1, 1, 1))
 
 
 def test_norm_kl_examples():

@@ -67,6 +67,29 @@ def test_empty_factor_is_dimension():
     assert sym == RationalFunction(Polynomial.x())
 
 
+@st.composite
+def balanced_monomials(draw):
+    """Up to three factors over a and b, each generator one to three
+    times with each sign, cut from one shuffled balanced letter list."""
+    ka, kb = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    # unshuffled, the letters spell the reduced word a^ka b^kb A^ka B^kb
+    letters = draw(st.permutations([1] * ka + [2] * kb + [-1] * ka + [-2] * kb))
+    cuts = sorted(draw(st.lists(st.integers(0, len(letters)), max_size=2)))
+    bounds = [0, *cuts, len(letters)]
+    return wi.TraceMonomial(tuple(fg.Word(letters[i:j]) for i, j in zip(bounds, bounds[1:])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(balanced_monomials())
+def test_symbolic_moment_matches_fixed_n_sum(monomial):
+    # the shared-denominator sum against the Fraction sum at each n
+    symbolic = wi.exact_word_moment(monomial)
+    plus, _ = monomial.occurrences()
+    n0 = max(plus.values(), default=1)
+    for n in range(n0, n0 + 5):
+        assert symbolic(Fraction(n)) == wi.exact_word_moment(monomial, n=n)
+
+
 def test_commutator_stable_character_examples():
     sym = wi.expect_stable_character((1,), (), COMM)
     assert sym == RationalFunction(Polynomial((1,)), Polynomial.x())
