@@ -69,8 +69,8 @@ def test_empty_factor_is_dimension():
 
 @st.composite
 def balanced_monomials(draw):
-    """Up to three factors over a and b, each generator one to three
-    times with each sign, cut from one shuffled balanced letter list."""
+    """Up to three factors cut from one shuffled list holding a and b
+    one to three times each with each sign (fewer after free reduction)."""
     ka, kb = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     # unshuffled, the letters spell the reduced word a^ka b^kb A^ka B^kb
     letters = draw(st.permutations([1] * ka + [2] * kb + [-1] * ka + [-2] * kb))
