@@ -222,8 +222,8 @@ class BumpProfile:
     """
 
     def __init__(self, epsilon):
-        if epsilon <= 0:
-            raise ValidationError("epsilon must be positive")
+        if not (math.isfinite(epsilon) and epsilon > 0):
+            raise ValidationError(f"epsilon must be finite and positive, got {epsilon}")
         self.epsilon = float(epsilon)
         self._tail_cache = {}
         s_head, s_tail = self._raw_sum()

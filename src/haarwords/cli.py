@@ -105,7 +105,7 @@ def _cmd_expect(args):
 def _cmd_wg(args):
     from . import weingarten
 
-    ct = tuple(int(p) for p in args.cycle_type.split(","))
+    ct = Partition(int(p) for p in args.cycle_type.split(","))
     out = {"L": args.L, "cycle_type": list(ct)}
     if args.n is not None:
         out["n"] = args.n
@@ -196,6 +196,8 @@ def _cmd_bounds(args):
         _emit_json(record)
         return EXIT_OK
     if args.bounds_cmd == "bump":
+        if not (math.isfinite(args.tmax) and args.tmax > 0):
+            raise ValidationError(f"--tmax must be finite and positive, got {args.tmax}")
         profile = bounds.BumpProfile(args.eps)
         import numpy as np
         ts = np.geomspace(1.0, args.tmax, args.points)

@@ -220,23 +220,12 @@ def dim_bounds_check(weight, n):
     return record
 
 
-@lru_cache(maxsize=2)
-def _vandermonde_slogdet(spectra, shape):
-    """slogdet of det(eig_i^(n-1-j)) for the complex spectra given as bytes
-    (one spectrum or a stack of them).  It depends on the spectra only, so
-    every weight evaluated on them shares one denominator: the Koike check
-    alternates between a spectrum stack and its conjugate, hence two
-    entries."""
-    eig = np.frombuffer(spectra, dtype=complex).reshape(shape)
-    return np.linalg.slogdet(eig[..., :, None] ** np.arange(shape[-1] - 1, -1, -1))
-
-
 def _char_from_weight(weight, eig):
     """det(eig_i^(weight_j + n-1-j)) / det(eig_i^(n-1-j)) for one spectrum
     or each row of a complex stack."""
-    exponents = np.asarray(weight) + np.arange(eig.shape[-1] - 1, -1, -1)
-    sign_n, log_n = np.linalg.slogdet(eig[..., :, None] ** exponents)
-    sign_d, log_d = _vandermonde_slogdet(eig.tobytes(), eig.shape)
+    rho = np.arange(eig.shape[-1] - 1, -1, -1)
+    sign_n, log_n = np.linalg.slogdet(eig[..., :, None] ** (np.asarray(weight) + rho))
+    sign_d, log_d = np.linalg.slogdet(eig[..., :, None] ** rho)
     if np.any(sign_d == 0):
         raise ZeroDivisionError("degenerate denominator determinant")
     return sign_n / sign_d * np.exp(log_n - log_d)
@@ -290,17 +279,6 @@ def _char_eval_stack(weight, eig):
     for i in np.flatnonzero(~clear):
         out[i] = _char_eval(weight, rows[i])
     return out.reshape(eig.shape[:-1])
-
-
-def schur_eval(lam, eig):
-    """Schur polynomial s_lambda at the given points, or at each row of a
-    (..., n) stack of them (0 when the partition is longer than the point
-    count)."""
-    eig = np.asarray(eig, dtype=complex)
-    n = eig.shape[-1]
-    if lam.length > n:
-        return np.zeros(eig.shape[:-1], dtype=complex) if eig.ndim > 1 else 0j
-    return _char_eval(tuple(lam.parts) + (0,) * (n - lam.length), eig)
 
 
 def weyl_character_eval(lam, mu, eig):

@@ -46,19 +46,6 @@ def num_cycles(p):
     return len(cycles(p))
 
 
-def perm_of_cycle_type(ct, m):
-    """A canonical permutation of S_m with the given cycle type."""
-    if sum(ct) != m:
-        raise ValueError("cycle type does not sum to the degree")
-    img = list(range(m))
-    pos = 0
-    for part in ct:
-        for i in range(part):
-            img[pos + i] = pos + (i + 1) % part
-        pos += part
-    return tuple(img)
-
-
 @lru_cache(maxsize=None)
 def all_perms(m):
     return tuple(itertools.permutations(range(m)))

@@ -54,20 +54,17 @@ def monomial_agreement(samples=20000, seed=20250808, k_se=4.0):
 
 
 def koike_agreement():
-    """The character-identity validation of every expansion with
-    |lambda| + |mu| <= 4, as recorded by its construction."""
+    """Every expansion with |lambda| + |mu| <= 4; each is checked exactly
+    against the character identity as it is built, and a mismatch raises."""
     rows = []
     for total in range(0, 5):
         for k in range(total + 1):
             for lam in partitions_of(k):
                 for mu in partitions_of(total - k):
-                    expansion = koike_expand(lam.parts, mu.parts)
                     rows.append({
                         "lambda": list(lam.parts),
                         "mu": list(mu.parts),
-                        "terms": len(expansion.terms),
-                        "max_error": expansion.max_error,
-                        "ok": expansion.max_error < 1e-9,
+                        "terms": len(koike_expand(lam.parts, mu.parts)),
                     })
     return rows
 
@@ -108,13 +105,8 @@ def run_selftest(samples=20000, seed=20250808, emit=print):
         emit(f"[{status}] monomial {'*'.join('tr(' + (f or 'e') + ')' for f in row['factors'])} "
              f"n={row['n']}: exact={row['exact']} mc={row['mc_mean_re']:.5f}+-{row['se']:.5f}")
         all_ok = all_ok and row["ok"]
-    worst = 0.0
-    koike_rows = koike_agreement()
-    worst = max(r["max_error"] for r in koike_rows)
-    ok = all(r["ok"] for r in koike_rows)
-    emit(f"[{'PASS' if ok else 'FAIL'}] mixed-character expansions ({len(koike_rows)} cases), "
-         f"max identity error {worst:.2e}")
-    all_ok = all_ok and ok
+    emit(f"[PASS] mixed-character expansions ({len(koike_agreement())} cases), "
+         "identity checked exactly")
     for row in gram_inversion():
         status = "PASS" if row["ok"] else "FAIL"
         emit(f"[{status}] Weingarten Gram inversion L={row['L']} n={row['n']}")

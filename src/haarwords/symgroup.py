@@ -12,9 +12,11 @@ import csv
 import io
 import itertools
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
+from . import perms
 from .errors import ResourceCapError, TheoremViolationError, UnsupportedSizeError, ValidationError
 from .ratfunc import Polynomial, RationalFunction
 
@@ -302,30 +304,6 @@ def powersum_schur_basechange(k):
     return BaseChange(k)
 
 
-class KoikeExpansion:
-    """Expansion of the mixed stable character s_{lambda,mu} into products
-    s_{lambda'}(g) * s_{mu'}(g^{-1}) with n-independent integer coefficients,
-    and the worst error of the character-identity validation it passed."""
-
-    def __init__(self, lam, mu, terms, max_error):
-        self.lam = lam
-        self.mu = mu
-        self.terms = terms  # {(lam', mu'): int}
-        self.max_error = max_error
-
-    def __getitem__(self, key):
-        return self.terms.get(key, 0)
-
-    def items(self):
-        return self.terms.items()
-
-    def to_json(self):
-        return [
-            {"lambda": list(l.parts), "mu": list(m.parts), "coeff": c}
-            for (l, m), c in sorted(self.terms.items(), key=lambda kv: (kv[0][0].parts, kv[0][1].parts))
-        ]
-
-
 def _koike_terms(lam, mu):
     """Closed-form coefficients: alternating sum over a cancelled partition
     delta, pairing c^lam_{delta,lam'} with c^mu_{delta',mu'} (delta' the
@@ -349,50 +327,75 @@ def _koike_terms(lam, mu):
     return {key: c for key, c in terms.items() if c != 0}
 
 
-KOIKE_VALIDATION_TOLERANCE = 1e-9
 _KOIKE_VALIDATION_SEED = 413659
 
 
+def elementary_symmetric(x):
+    """[e_0(x), ..., e_n(x)], the elementary symmetric polynomials at x."""
+    e = [1]
+    for v in x:
+        e = [a + v * b for a, b in zip(e + [0], [0] + e)]
+    return e
+
+
+def schur_from_elementary(nu, e):
+    """s_nu at the point whose elementary symmetric values are e[0..n]:
+    det[e_{nu'_i - i + j}] by the dual Jacobi-Trudi identity (Macdonald,
+    Symmetric Functions, I.3), with e_j = 0 outside 0..n.  The determinant
+    is nu_1 wide, at most 4 here, so a Leibniz sum is enough."""
+    conj = nu.conjugate().parts
+    m, n = len(conj), len(e) - 1
+    total = 0
+    for p in perms.all_perms(m):
+        term = -1 if (m - perms.num_cycles(p)) % 2 else 1
+        for i in range(m):
+            d = conj[i] - i + p[i]
+            term *= e[d] if 0 <= d <= n else 0
+        total += term
+    return total
+
+
 def _validate_koike(lam, mu, terms):
-    """Cross-check the expansion against direct character evaluation on
-    random diagonal unitaries.  Failure is a hard error."""
-    from . import montecarlo
+    """Check s_{lambda,mu}(x) = sum alpha s_{lambda'}(x) s_{mu'}(x^-1)
+    exactly, at 2 seeded integer points x in (+-[2, 1000])^n for each of 4
+    values of n >= k + l.  Any mismatch is a hard error.
 
-    import numpy as np
-
+    The left side is e_n(x)^{w_n} s_nu(x) for the mixed weight w and
+    nu = w - w_n; the right side reads e_j(x^-1) = e_{n-j}(x) / e_n(x).
+    For n >= k + l the products s_{lambda'} s_{mu'}(x^-1) are linearly
+    independent, so a wrong coefficient leaves a nonzero difference, a
+    Laurent polynomial that (x_1...x_n)^l clears to a polynomial of degree
+    at most n(k+l).  By Schwartz-Zippel one point misses it with
+    probability at most n(k+l)/1998 <= 1.4%, independently at each of up
+    to 8 points.
+    """
     k, ell = lam.size, mu.size
-    rng = np.random.default_rng(_KOIKE_VALIDATION_SEED + 1000 * k + ell)
-    worst = 0.0
+    rng = random.Random(_KOIKE_VALIDATION_SEED + 1000 * k + ell)
     for n in range(max(k + ell, 1), max(k + ell, 1) + 4):
-        if n < lam.length + mu.length:
-            continue
-        # 50 spectra of jittered equispaced phases (n jitters, then one
-        # rotation, per row): random but with a spacing floor, keeping the
-        # determinant-ratio evaluation well conditioned
-        draws = rng.random((50, n + 1))
-        phases = (np.arange(n) + 0.35 + 0.3 * draws[:, :n]) / n + draws[:, n:]
-        eig = np.exp(2j * np.pi * phases)
-        lhs = montecarlo.weyl_character_eval(lam, mu, eig)
-        rhs = np.zeros(len(eig), dtype=complex)
-        for (lam_p, mu_p), c in terms.items():
-            rhs += c * montecarlo.schur_eval(lam_p, eig) * montecarlo.schur_eval(mu_p, eig.conj())
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    if worst >= KOIKE_VALIDATION_TOLERANCE:
-        raise TheoremViolationError(
-            f"mixed-character expansion for {lam!r},{mu!r} failed its "
-            f"character-identity validation (max error {worst:.3e})",
-            details={"lambda": lam.parts, "mu": mu.parts, "max_error": worst},
-        )
-    return worst
+        w = lam.parts + (0,) * (n - lam.length - mu.length) + tuple(-p for p in reversed(mu.parts))
+        nu = Partition(p - w[-1] for p in w if p > w[-1])
+        for _ in range(2):
+            x = [rng.choice((-1, 1)) * rng.randint(2, 1000) for _ in range(n)]
+            e = elementary_symmetric(x)
+            e_inv = [Fraction(e[n - j], e[n]) for j in range(n + 1)]
+            lhs = Fraction(e[n]) ** w[-1] * schur_from_elementary(nu, e)
+            rhs = sum(c * schur_from_elementary(lam_p, e) * schur_from_elementary(mu_p, e_inv)
+                      for (lam_p, mu_p), c in terms.items())
+            if lhs != rhs:
+                raise TheoremViolationError(
+                    f"mixed-character expansion for {lam!r},{mu!r} failed its "
+                    f"exact character-identity check at n={n}",
+                    details={"lambda": lam.parts, "mu": mu.parts, "n": n, "x": x})
 
 
 @lru_cache(maxsize=None)
 def koike_expand(lam_parts, mu_parts):
-    """Expansion of s_{lambda,mu}(g) as sum of alpha * s_{lambda'}(g) s_{mu'}(g^-1).
+    """Expansion of s_{lambda,mu}(g) as sum of alpha * s_{lambda'}(g) s_{mu'}(g^-1),
+    returned as {(lambda', mu'): alpha} with n-independent integer alpha.
 
-    Accepts part tuples (hashable); validated at construction against the
-    character-evaluation oracle, which turns any transcription error into
-    a hard failure instead of silently wrong integrals.
+    Accepts part tuples (hashable); checked exactly at construction
+    against the character identity, which turns any transcription error
+    into a hard failure instead of silently wrong integrals.
     """
     lam = Partition(lam_parts)
     mu = Partition(mu_parts)
@@ -400,4 +403,5 @@ def koike_expand(lam_parts, mu_parts):
         raise UnsupportedSizeError(
             f"mixed-character expansion validated only for |lambda|+|mu| <= {KOIKE_SIZE_CAP}")
     terms = _koike_terms(lam, mu)
-    return KoikeExpansion(lam, mu, terms, _validate_koike(lam, mu, terms))
+    _validate_koike(lam, mu, terms)
+    return terms

@@ -187,20 +187,9 @@ class SymAlgebraElement:
     def coefficient(self, sigma):
         return self.coeffs.get(tuple(sigma), RationalFunction(0))
 
-    def support(self):
-        return set(self.coeffs)
-
     def __eq__(self, other):
         return (isinstance(other, SymAlgebraElement)
                 and self.m == other.m and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        if self.m != other.m:
-            raise ValidationError("degree mismatch")
-        out = dict(self.coeffs)
-        for sigma, c in other.coeffs.items():
-            out[sigma] = out.get(sigma, RationalFunction(0)) + c
-        return SymAlgebraElement(self.m, out)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RationalFunction)):
@@ -220,21 +209,8 @@ class SymAlgebraElement:
 
     __rmul__ = __mul__
 
-    def adjoint(self):
-        """Coefficients transported to inverse permutations (real coefficients)."""
-        return SymAlgebraElement(self.m, {perms.inverse(s): c for s, c in self.coeffs.items()})
-
     def eval_at(self, n):
         return {s: c(Fraction(n)) for s, c in self.coeffs.items()}
-
-    def to_json(self):
-        return {
-            "degree": self.m,
-            "terms": [
-                {"perm": list(s), "coeff": c.to_json()}
-                for s, c in sorted(self.coeffs.items())
-            ],
-        }
 
     def __repr__(self):
         return f"SymAlgebraElement(S_{self.m}, {len(self.coeffs)} terms)"

@@ -164,12 +164,18 @@ def _no_convergence(*args, **kwargs):
      None, 2, "above r=1"),
     (["strongconv", "--r", "2", "--poly", "a", "--k", "1", "--l", "0"], None, 2, "--n"),
     (["rwalk", "--steps", "10000", "--samples", "1000000000"], None, 3, "exceeds cap"),
+    (["wg", "--L", "3", "--cycle-type", "1,2,0"], None, 2, None),
+    (["wg", "--L", "3", "--cycle-type", "2,1,0"], None, 2, None),
+    (["bounds", "bump", "--eps", "inf"], None, 2, "epsilon"),
+    (["bounds", "bump", "--eps", "nan"], None, 2, "epsilon"),
+    (["bounds", "bump", "--eps", "0.5", "--tmax", "-5"], None, 2, "--tmax"),
 ], ids=["rwalk-samples-0", "rwalk-r-0", "rwalk-steps-negative", "dims-n-0",
         "strongconv-n-below-k", "strongconv-no-convergence", "wg-n-below-L", "strongconv-samples-0",
         "gcheck-float-overflow", "interp-n-start-0", "strongconv-k-negative",
         "strongconv-l-negative", "selftest-samples-0", "selftest-samples-1",
         "expect-n-below-lengths", "strongconv-r-0", "strongconv-term-above-r",
-        "strongconv-no-n", "rwalk-stack-over-cap"])
+        "strongconv-no-n", "rwalk-stack-over-cap", "wg-permutation-120",
+        "wg-permutation-210", "bump-eps-inf", "bump-eps-nan", "bump-tmax-negative"])
 def test_failures_end_with_mapped_exit_code(capsys, monkeypatch, argv, patch, expected,
                                             stderr_has):
     if patch is not None:
@@ -198,6 +204,21 @@ def test_rwalk_and_interp_import_no_scipy():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_exact_commands_leave_montecarlo_unloaded():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = ("import sys\n"
+              "from haarwords import cli\n"
+              "for argv in (['expect', '--word', 'abAB', '--lambda', '1', '--mu', '1', '--n', '4'],\n"
+              "             ['interp', '--word', 'abAB', '--lambda', '1'],\n"
+              "             ['wg', '--L', '3', '--cycle-type', '2,1']):\n"
+              "    assert cli.run(argv) == 0\n"
+              "print('haarwords.montecarlo' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 _small = st.integers(min_value=-2, max_value=6).map(str)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from haarwords import symgroup as sg
-from haarwords.errors import ResourceCapError, UnsupportedSizeError, ValidationError
+from haarwords.errors import (ResourceCapError, TheoremViolationError, UnsupportedSizeError,
+                              ValidationError)
 from haarwords.symgroup import Partition
 
 
@@ -240,12 +241,48 @@ def test_koike_against_forward_decomposition():
         i = index[(lam, mu)]
         for (lam2, mu2) in pairs:
             j = index[(lam2, mu2)]
-            assert Fraction(e[(lam2, mu2)]) == cols[j][i], (lam, mu, lam2, mu2)
+            assert Fraction(e.get((lam2, mu2), 0)) == cols[j][i], (lam, mu, lam2, mu2)
 
 
-def test_koike_character_identity_margin():
-    from haarwords.symgroup import _koike_terms, _validate_koike
+def test_koike_check_catches_every_off_by_one_coefficient():
+    for lam, mu in (((2,), (1, 1)), ((1,), (1,)), ((2, 1), (1,))):
+        lam, mu = Partition(lam), Partition(mu)
+        terms = sg._koike_terms(lam, mu)
+        sg._validate_koike(lam, mu, terms)
+        for key in terms:
+            for step in (1, -1):
+                with pytest.raises(TheoremViolationError):
+                    sg._validate_koike(lam, mu, {**terms, key: terms[key] + step})
 
-    worst = _validate_koike(Partition((2,)), Partition((2,)),
-                            _koike_terms(Partition((2,)), Partition((2,))))
-    assert worst < 1e-9
+
+def ssyt_schur(lam, xs):
+    """Brute-force Schur polynomial: the sum over semistandard tableaux of
+    shape lam with entries in 0..n-1 of the product of x_entry."""
+    cells = lam.cells()
+    total = 0
+    fill = {}
+
+    def place(idx, prod):
+        nonlocal total
+        if idx == len(cells):
+            total += prod
+            return
+        i, j = cells[idx]
+        left = fill.get((i, j - 1), 0)
+        up = fill.get((i - 1, j), -1)
+        for v in range(max(left, up + 1), len(xs)):
+            fill[(i, j)] = v
+            place(idx + 1, prod * xs[v])
+        fill.pop((i, j), None)
+
+    place(0, 1)
+    return total
+
+
+def test_schur_from_elementary_against_tableau_count():
+    points = [(3,), (-2, 5), (1, -1), (2, 3, -7), (4, 4, 4), (-3, 2, 5, 1), (0, 6, -2, 9)]
+    for size in range(0, 5):
+        for lam in sg.partitions_of(size):
+            for xs in points:
+                e = sg.elementary_symmetric(xs)
+                assert sg.schur_from_elementary(lam, e) == ssyt_schur(lam, xs), (lam, xs)
