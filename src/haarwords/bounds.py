@@ -313,20 +313,23 @@ def bump_fourier(profile, t):
 
 
 def bump_envelope_check(profile, ts):
-    """Check |mu-hat(t)| <= prod_{j <= t / log(2+t)^{1+eps}} 1/(t a_j)."""
+    """Check |mu-hat(t)| <= prod_{j <= t / log(2+t)^{1+eps}} 1/(t a_j), as
+    log|mu-hat(t)| <= log of the envelope (up to 1e-9)."""
     rows = []
     ok = True
     for t in ts:
         t = float(t)
         j_star = int(t / math.log(2.0 + t) ** (1.0 + profile.epsilon))
         value = abs(bump_fourier(profile, t))
+        log_env = 0.0
         if j_star >= 1:
             js = np.arange(1, j_star + 1, dtype=float)
             log_env = float(-np.log(t * profile.a(js)).sum())
+        try:
             env = math.exp(log_env)
-        else:
-            env = 1.0
-        good = value <= env * (1 + 1e-9)
+        except OverflowError:  # printed as inf; the check below compares logs
+            env = math.inf
+        good = value == 0.0 or math.log(value) <= log_env + 1e-9
         ok = ok and good
         rows.append({"t": t, "fourier": value, "envelope": env, "ok": good})
     return {"rows": rows, "all_ok": ok}

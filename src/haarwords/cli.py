@@ -214,6 +214,8 @@ def _cmd_dims(args):
 
     if args.n < 1:
         raise ValidationError(f"--n must be >= 1, got {args.n}")
+    if args.l1_cap < 0:
+        raise ValidationError(f"--l1-cap must be >= 0, got {args.l1_cap}")
     rows = []
     worst_margin = math.inf
     classifier_ok = True

@@ -17,6 +17,7 @@ from . import perms, weingarten
 from .errors import (ConvergenceError, ResourceCapError, TheoremViolationError,
                      UnsupportedSizeError, ValidationError)
 from .freegroup import evaluate_word
+from .symgroup import dual_jacobi_trudi
 
 DENSE_PROJECTOR_CAP = 10_000
 APPLY_VECTOR_CAP = 10_000_000
@@ -220,77 +221,31 @@ def dim_bounds_check(weight, n):
     return record
 
 
-def _char_from_weight(weight, eig):
-    """det(eig_i^(weight_j + n-1-j)) / det(eig_i^(n-1-j)) for one spectrum
-    or each row of a complex stack."""
-    rho = np.arange(eig.shape[-1] - 1, -1, -1)
-    sign_n, log_n = np.linalg.slogdet(eig[..., :, None] ** (np.asarray(weight) + rho))
-    sign_d, log_d = np.linalg.slogdet(eig[..., :, None] ** rho)
-    if np.any(sign_d == 0):
-        raise ZeroDivisionError("degenerate denominator determinant")
-    return sign_n / sign_d * np.exp(log_n - log_d)
-
-
-DEGENERACY_THRESHOLD = 1e-7
-
-
-def _char_eval(weight, eig):
-    """Weyl character as a ratio of generalized Vandermonde determinants,
-    with a deterministic perturbation + Richardson fallback near
-    eigenvalue collisions (the character is a polynomial in the
-    eigenvalues, so extrapolating the perturbation to zero is exact up to
-    the neglected cubic term).
-
-    `eig` is one spectrum (n,) or a stack (..., n); a stack takes one
-    stacked determinant ratio for its well-separated rows and sends the
-    others (every row when n = 1) through the one-spectrum path.
-    """
-    eig = np.asarray(eig, dtype=complex)
-    if eig.ndim > 1:
-        return _char_eval_stack(weight, eig)
-    n = len(eig)
-    if n == 1:
-        return complex(eig[0]) ** int(weight[0])
-    gaps = np.abs(eig[:, None] - eig[None, :]) + np.eye(n)
-    if gaps.min() > DEGENERACY_THRESHOLD:
-        return _char_from_weight(weight, eig)
-    if np.max(np.abs(eig - eig[0])) < 1e-12:
-        # scalar matrix: central character times the dimension
-        k_minus_l = int(sum(weight))
-        return complex(eig[0]) ** k_minus_l * weyl_dim(tuple(weight), n)
-    offsets = np.arange(n) - (n - 1) / 2.0
-    h = 1e-4
-
-    def at(scale):
-        return _char_from_weight(weight, eig * np.exp(1j * scale * offsets))
-
-    f_h, f_h2, f_h4 = at(h), at(h / 2), at(h / 4)
-    return (8.0 * f_h4 - 6.0 * f_h2 + f_h) / 3.0
-
-
-def _char_eval_stack(weight, eig):
-    n = eig.shape[-1]
-    rows = eig.reshape(-1, n)
-    gaps = np.abs(rows[:, :, None] - rows[:, None, :]) + np.eye(n)
-    clear = (gaps.min(axis=(1, 2)) > DEGENERACY_THRESHOLD) & (n > 1)
-    out = np.empty(len(rows), dtype=complex)
-    if clear.any():
-        out[clear] = _char_from_weight(weight, rows[clear])
-    for i in np.flatnonzero(~clear):
-        out[i] = _char_eval(weight, rows[i])
-    return out.reshape(eig.shape[:-1])
-
-
 def weyl_character_eval(lam, mu, eig):
     """Stable character s_{lambda,mu} evaluated on a spectrum of unit
     complex numbers, or on each row of a (..., n) stack of spectra; at the
-    identity this is the irrep dimension."""
+    identity this is the irrep dimension.  It is the polynomial
+    e_n^c det[e_{D_ij}] of `symgroup.dual_jacobi_trudi` in the elementary
+    symmetric values e_j of each spectrum, so coinciding eigenvalues need
+    no special case.  A single spectrum is a stack of one row, and gets
+    bit for bit the value its row gets in any stack."""
     eig = np.asarray(eig, dtype=complex)
     n = eig.shape[-1]
     if n < lam.length + mu.length:
         raise ValidationError(
             f"need n >= {lam.length + mu.length} eigenvalues, got {n}")
-    return _char_eval(mixed_weight(lam, mu, n), eig)
+    c, rows = dual_jacobi_trudi(mixed_weight(lam, mu, n))
+    spectra = eig.reshape(-1, n)
+    # e[:, j] = e_j for j <= n; column n + 1 is the zero read for every
+    # index outside 0..n
+    e = np.zeros((len(spectra), n + 2), dtype=complex)
+    e[:, 0] = 1
+    for j in range(n):
+        e[:, 1:j + 2] = e[:, 1:j + 2] + spectra[:, j:j + 1] * e[:, :j + 1]
+    index = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows))
+    index[(index < 0) | (index > n)] = n + 1
+    vals = _unfused_product(np.linalg.det(e[:, index]), e[:, n] ** c)
+    return vals.reshape(eig.shape[:-1])[()]
 
 
 # ---------------------------------------------------------------------------

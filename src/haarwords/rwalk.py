@@ -157,31 +157,24 @@ def _radial_transition(measure):
     return p_stay, p_single
 
 
-def _radial_return_probabilities(measure, steps, exact=True):
-    """P(g_t = e) for t = 0..steps via the birth-death distance chain.
-    One code path for both dtypes: exact runs on an object array of
-    Fractions, the float run on float64."""
-    r = measure.rank
+def _radial_return_probabilities(measure, steps):
+    """Exact P(g_t = e) for t = 0..steps via the birth-death distance
+    chain, on an object array of Fractions."""
     p0, p1 = _radial_transition(measure)
-    if not exact:
-        p0, p1 = float(p0), float(p1)
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-    dist = np.full(steps + 1, zero, dtype=object if exact else float)
-    dist[0] = one
-    out = dist[:1].tolist()
-    back = p1
-    fwd = p1 * (2 * r - 1)
+    fwd = p1 * (2 * measure.rank - 1)
+    dist = np.full(steps + 1, Fraction(0), dtype=object)
+    dist[0] = Fraction(1)
+    out = [dist[0]]
     for _ in range(steps):
-        # new[d] = dist[d-1] fwd + dist[d] p0 + dist[d+1] back, summed in
-        # that order (the order of a loop over d), so floats round alike
-        new = np.zeros_like(dist)
-        new[1:] = dist[:-1] * fwd
-        new[1] = dist[0] * p1 * 2 * r
-        new = new + dist * p0
-        new[:-1] += dist[1:] * back
+        # new[d] = dist[d-1] fwd + dist[d] p0 + dist[d+1] p1, and from the
+        # identity every one of the 2r letters leads out: fwd + p1
+        new = dist * p0
+        new[1:] += dist[:-1] * fwd
+        new[1] += dist[0] * p1
+        new[:-1] += dist[1:] * p1
         dist = new
         out.append(dist[0])
-    return np.array(out, dtype=dist.dtype).tolist()
+    return out
 
 
 def _convolve_distribution(measure, steps, cap=CONVOLUTION_STATE_CAP,
@@ -206,119 +199,95 @@ def _convolve_distribution(measure, steps, cap=CONVOLUTION_STATE_CAP,
     return history
 
 
-def return_probability(measure, steps, exact=True):
-    """P(g_steps = e), exact for radial nearest-neighbor measures via the
-    distance chain (steps <= 40 when exact) and for general measures via
+def return_probability(measure, steps):
+    """P(g_steps = e) as a Fraction, for radial nearest-neighbor measures
+    via the distance chain (steps <= 40) and for general measures via
     truncated convolution (steps <= 20); the walk cannot leave the ball of
     radius steps * support_radius, so truncation is not an approximation."""
     if steps < 0:
         raise ValidationError("steps must be >= 0")
     if measure.is_radial_nearest_neighbor():
-        if exact and steps > RADIAL_EXACT_STEP_CAP:
+        if steps > RADIAL_EXACT_STEP_CAP:
             raise UnsupportedSizeError(
                 f"exact radial return probability capped at {RADIAL_EXACT_STEP_CAP} steps")
-        value = _radial_return_probabilities(measure, steps, exact=exact)[steps]
-        return value
+        return _radial_return_probabilities(measure, steps)[steps]
     if steps > GENERAL_CONVOLUTION_STEP_CAP:
         raise UnsupportedSizeError(
             f"general convolution capped at {GENERAL_CONVOLUTION_STEP_CAP} steps")
     history = _convolve_distribution(measure, steps)
-    value = history[steps].get(Word((), measure.rank), Fraction(0))
-    return value if exact else float(value)
+    return history[steps].get(Word((), measure.rank), Fraction(0))
 
 
 @dataclass
 class SpectralRadiusBracket:
     lower: float
     upper: float
-    estimate: float
     details: dict = field(default_factory=dict)
 
     def width(self):
         return self.upper - self.lower
 
-    def to_json(self):
-        return {"lower": self.lower, "upper": self.upper,
-                "estimate": self.estimate, "width": self.width(),
-                "details": self.details, "type": "float"}
+def _float_enclosure(lo, hi):
+    """The narrowest float interval holding the Fractions lo <= hi."""
+    a, b = float(lo), float(hi)
+    return (math.nextafter(a, -math.inf) if a > lo else a,
+            math.nextafter(b, math.inf) if b < hi else b)
 
 
-def _radial_schur_upper(measure, d_max=2000):
-    """Specialized exact Schur bound for radial nearest-neighbor measures:
-    with weight f(d) = (d + a) s^d the sup over base points is explicit."""
-    r = measure.rank
-    q = 2 * r - 1
-    p0, p1 = (float(x) for x in _radial_transition(measure))
-    center = 1.0 / math.sqrt(q)
-    a0 = r / max(r - 1, 0.5)
-    d = np.arange(1.0, d_max + 1.0)
-    a = np.linspace(0.5 * max(1.0, a0), 3.0 * max(2.0, a0), 60)
-    # one row per a; the same elementwise expressions as a scalar loop over
-    # a, so min/max pick the same float
-    below, at, above = d - 1 + a[:, None], d + a[:, None], d + 1 + a[:, None]
-    best = math.inf
-    for s in np.geomspace(center * 0.9, min(0.9999, center * 1.1), 60):
-        at_zero = p0 + p1 * 2 * r * ((1 + a) * s) / a
-        tail = p0 + p1 * (below / (at * s) + q * s * above / at)
-        limit = p0 + p1 * (1.0 / s + q * s)
-        best = min(best, float(np.maximum(np.maximum(at_zero, tail.max(axis=1)), limit).min()))
-    return best
+def _kesten_bracket(measure):
+    """Kesten's (1959) spectral radius p0 + 2 p1 sqrt(2r - 1) of a radial
+    nearest-neighbour measure, enclosed between adjacent floats.
+
+    2 p1 sqrt(2r - 1) = sqrt(a / b) with a / b = 4 p1^2 (2r - 1) in lowest
+    terms, and sqrt(a / b) = sqrt(a b 4^64) / (b 2^64), so math.isqrt
+    encloses it in Fractions 1 / (b 2^64) apart; the float ends are rounded
+    outward, and the upper one is clamped at the l1 bound 1."""
+    p0, p1 = _radial_transition(measure)
+    x = 4 * p1 * p1 * (2 * measure.rank - 1)
+    scaled = x.numerator * x.denominator << 128
+    root = math.isqrt(scaled)
+    top = root if root * root == scaled else root + 1
+    den = x.denominator << 64
+    lower, upper = _float_enclosure(p0 + Fraction(root, den), p0 + Fraction(top, den))
+    return SpectralRadiusBracket(lower=lower, upper=min(upper, 1.0),
+                                 details={"closed_form": "Kesten"})
 
 
-def spectral_radius(measure, dp_steps=800, ball_radius=None):
-    """Bracket for the spectral radius: even-step return probabilities give
-    monotone lower bounds, ball-compression Rayleigh quotients another
-    lower bound.  The upper bound is a Schur test with a radial weight for
-    radial nearest-neighbour measures and the l1 norm of the measure
-    otherwise.  Returned as an interval, never a point estimate."""
+def spectral_radius(measure, ball_radius=None):
+    """Spectral radius of a symmetric measure's Markov operator as a float
+    interval.  Radial nearest-neighbour measures have Kesten's closed form
+    (`_kesten_bracket`, no ball is built).  Any other measure gets a
+    bracket: even-step return probabilities and a ball-compression Rayleigh
+    quotient (radius `ball_radius`, by default the largest up to 12 that
+    fits the cap) give lower bounds, and the l1 norm 1 of the measure is the
+    upper bound."""
     if not measure.symmetric:
         raise ValidationError("spectral radius bracketing needs a symmetric measure")
-    details = {}
     if measure.is_radial_nearest_neighbor():
-        probs = _radial_return_probabilities(measure, dp_steps, exact=False)
-        upper = _radial_schur_upper(measure)
-        details["schur_upper"] = upper
-    else:
-        history = _convolve_distribution(measure, GENERAL_CONVOLUTION_STEP_CAP,
-                                         cap=100_000, stop_at_cap=True)
-        e = Word((), measure.rank)
-        probs = [float(h.get(e, Fraction(0))) for h in history]
-        upper = float(sum(measure.support.values()))
-    lowers = [(probs[m]) ** (1.0 / m) for m in range(2, len(probs), 2) if probs[m] > 0]
-    lower_dp = max(lowers) if lowers else 0.0
-    details["return_probability_lower"] = lower_dp
-    details["dp_steps"] = len(probs) - 1
-
-    lower_ball = 0.0
+        return _kesten_bracket(measure)
+    history = _convolve_distribution(measure, GENERAL_CONVOLUTION_STEP_CAP,
+                                     cap=100_000, stop_at_cap=True)
+    e = Word((), measure.rank)
+    probs = [float(h.get(e, 0)) for h in history]
+    lower = max((probs[m] ** (1.0 / m) for m in range(2, len(probs), 2)), default=0.0)
+    details = {"return_probability_lower": lower, "convolution_steps": len(probs) - 1}
     if ball_radius is None:
         ball_radius = 1
         while (ball_radius < 12
                and ball_size(ball_radius + 1, measure.rank) <= BALL_COMPRESSION_CAP):
             ball_radius += 1
     try:
-        lower_ball = _compressed_norm(
-            {w: complex(p) for w, p in measure.support.items()},
-            measure.rank, ball_radius)
-        details["ball_lower"] = lower_ball
-        details["ball_radius"] = ball_radius
+        ball = _compressed_norm({w: complex(p) for w, p in measure.support.items()},
+                                measure.rank, ball_radius)
+        details.update(ball_lower=ball, ball_radius=ball_radius)
+        lower = max(lower, ball)
     except ResourceCapError:
         pass
-
-    lower = max(lower_dp, lower_ball)
-    if lower > upper + 1e-9:
+    if lower > 1.0 + 1e-9:
         raise TheoremViolationError(
             "spectral radius lower bound exceeded the upper bound",
-            details={"lower": lower, "upper": upper})
-    # point estimate from the local limit shape P(2m) ~ C m^{-3/2} rho^{2m}
-    est = lower
-    evens = [m for m in range(2, len(probs), 2) if probs[m] > 0]
-    if len(evens) >= 2:
-        m1, m2 = evens[-2], evens[-1]
-        ratio = probs[m2] / probs[m1]
-        est = (ratio * (m2 / m1) ** 1.5) ** (1.0 / (m2 - m1))
-        est = min(max(est, lower), upper)
-    return SpectralRadiusBracket(lower=float(lower), upper=float(upper),
-                                 estimate=float(est), details=details)
+            details={"lower": lower, "upper": 1.0})
+    return SpectralRadiusBracket(lower=lower, upper=1.0, details=details)
 
 
 # ---------------------------------------------------------------------------

@@ -338,21 +338,32 @@ def elementary_symmetric(x):
     return e
 
 
-def schur_from_elementary(nu, e):
-    """s_nu at the point whose elementary symmetric values are e[0..n]:
-    det[e_{nu'_i - i + j}] by the dual Jacobi-Trudi identity (Macdonald,
-    Symmetric Functions, I.3), with e_j = 0 outside 0..n.  The determinant
-    is nu_1 wide, at most 4 here, so a Leibniz sum is enough."""
-    conj = nu.conjugate().parts
-    m, n = len(conj), len(e) - 1
+def dual_jacobi_trudi(weight):
+    """(c, D) for a weakly decreasing integer weight w of length n >= 1: the
+    character with highest weight w is e_n^c det[e_{D_ij}], where c = w_n,
+    nu = w - c, D_ij = nu'_i - i + j (the dual Jacobi-Trudi identity,
+    Macdonald, Symmetric Functions, I.3) and e_j = 0 outside 0..n.  D is
+    nu_1 wide.  A partition with one 0 appended reads as c = 0 and nu = the
+    partition, whatever n is."""
+    c = weight[-1]
+    conj = Partition(p - c for p in weight if p > c).conjugate().parts
+    return c, [[conj[i] - i + j for j in range(len(conj))] for i in range(len(conj))]
+
+
+def schur_from_elementary(weight, e):
+    """The character with highest weight w (see `dual_jacobi_trudi`) at the
+    point whose elementary symmetric values are e[0..n], exactly.  The
+    determinant is at most 4 wide here, so a Leibniz sum is enough."""
+    c, rows = dual_jacobi_trudi(weight)
+    m, n = len(rows), len(e) - 1
     total = 0
     for p in perms.all_perms(m):
         term = -1 if (m - perms.num_cycles(p)) % 2 else 1
         for i in range(m):
-            d = conj[i] - i + p[i]
+            d = rows[i][p[i]]
             term *= e[d] if 0 <= d <= n else 0
         total += term
-    return total
+    return Fraction(e[n]) ** c * total
 
 
 def _validate_koike(lam, mu, terms):
@@ -360,8 +371,8 @@ def _validate_koike(lam, mu, terms):
     exactly, at 2 seeded integer points x in (+-[2, 1000])^n for each of 4
     values of n >= k + l.  Any mismatch is a hard error.
 
-    The left side is e_n(x)^{w_n} s_nu(x) for the mixed weight w and
-    nu = w - w_n; the right side reads e_j(x^-1) = e_{n-j}(x) / e_n(x).
+    The left side is the mixed weight w through `schur_from_elementary`;
+    the right side reads e_j(x^-1) = e_{n-j}(x) / e_n(x).
     For n >= k + l the products s_{lambda'} s_{mu'}(x^-1) are linearly
     independent, so a wrong coefficient leaves a nonzero difference, a
     Laurent polynomial that (x_1...x_n)^l clears to a polynomial of degree
@@ -373,13 +384,13 @@ def _validate_koike(lam, mu, terms):
     rng = random.Random(_KOIKE_VALIDATION_SEED + 1000 * k + ell)
     for n in range(max(k + ell, 1), max(k + ell, 1) + 4):
         w = lam.parts + (0,) * (n - lam.length - mu.length) + tuple(-p for p in reversed(mu.parts))
-        nu = Partition(p - w[-1] for p in w if p > w[-1])
         for _ in range(2):
             x = [rng.choice((-1, 1)) * rng.randint(2, 1000) for _ in range(n)]
             e = elementary_symmetric(x)
             e_inv = [Fraction(e[n - j], e[n]) for j in range(n + 1)]
-            lhs = Fraction(e[n]) ** w[-1] * schur_from_elementary(nu, e)
-            rhs = sum(c * schur_from_elementary(lam_p, e) * schur_from_elementary(mu_p, e_inv)
+            lhs = schur_from_elementary(w, e)
+            rhs = sum(c * schur_from_elementary(lam_p.parts + (0,), e)
+                      * schur_from_elementary(mu_p.parts + (0,), e_inv)
                       for (lam_p, mu_p), c in terms.items())
             if lhs != rhs:
                 raise TheoremViolationError(

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -117,6 +118,16 @@ def test_bounds_bump_csv(capsys):
     assert len(lines) == 6
 
 
+def test_bounds_bump_envelope_past_float_range(capsys):
+    # at eps = 0.1 the envelope at t = 10000 is above the float range: the
+    # row prints inf and the check, made on logs, passes
+    code, out, _ = run_cli(capsys, "bounds", "bump", "--eps", "0.1", "--tmax", "10000")
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
+    assert rows[-1][2] == math.inf
+    assert all(fourier <= envelope for _, fourier, envelope in rows)
+
+
 def test_dims_check(capsys):
     code, out, _ = run_cli(capsys, "dims", "--n", "10", "--l1-cap", "4", "--A", "0.5")
     assert code == 0
@@ -169,13 +180,15 @@ def _no_convergence(*args, **kwargs):
     (["bounds", "bump", "--eps", "inf"], None, 2, "epsilon"),
     (["bounds", "bump", "--eps", "nan"], None, 2, "epsilon"),
     (["bounds", "bump", "--eps", "0.5", "--tmax", "-5"], None, 2, "--tmax"),
+    (["dims", "--n", "3", "--l1-cap", "-1"], None, 2, "--l1-cap"),
 ], ids=["rwalk-samples-0", "rwalk-r-0", "rwalk-steps-negative", "dims-n-0",
         "strongconv-n-below-k", "strongconv-no-convergence", "wg-n-below-L", "strongconv-samples-0",
         "gcheck-float-overflow", "interp-n-start-0", "strongconv-k-negative",
         "strongconv-l-negative", "selftest-samples-0", "selftest-samples-1",
         "expect-n-below-lengths", "strongconv-r-0", "strongconv-term-above-r",
         "strongconv-no-n", "rwalk-stack-over-cap", "wg-permutation-120",
-        "wg-permutation-210", "bump-eps-inf", "bump-eps-nan", "bump-tmax-negative"])
+        "wg-permutation-210", "bump-eps-inf", "bump-eps-nan", "bump-tmax-negative",
+        "dims-l1-cap-negative"])
 def test_failures_end_with_mapped_exit_code(capsys, monkeypatch, argv, patch, expected,
                                             stderr_has):
     if patch is not None:

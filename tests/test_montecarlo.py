@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haarwords import freegroup as fg
 from haarwords import montecarlo as mc
 from haarwords import perms, selftest, weingarten
 from haarwords.errors import ConvergenceError, ValidationError
-from haarwords.symgroup import Partition, partitions_of, schur_dim_poly
+from haarwords.symgroup import Partition, koike_expand, partitions_of, schur_dim_poly
 
 COMM = fg.parse_word("abAB")
 
@@ -135,33 +137,6 @@ def test_chunked_mc_expect_matches_per_sample_loop():
     assert abs(res.mean - mean) <= 1e-12 * abs(mean) and abs(res.se - se) <= 1e-12 * se
 
 
-def test_stacked_character_matches_rows(monkeypatch):
-    rng = np.random.default_rng(4)
-    eig = np.exp(2j * np.pi * rng.random((6, 4)))
-    eig[1, 2] = eig[1, 0] * np.exp(1e-9j)              # near collision: Richardson
-    us = mc.sample_tuple(1, 4, rng, batch=6)
-    eig[4] = np.linalg.eigvals(fg.evaluate_word(fg.parse_word("aA"), us))[4]   # scalar
-    weight = (2, 1, 0, -1)
-    rows = [mc._char_eval(weight, e) for e in eig]
-    char_eval, one_spectrum = mc._char_eval, []
-
-    def spy(w, e):
-        one_spectrum.append(np.ndim(e) == 1)
-        return char_eval(w, e)
-
-    monkeypatch.setattr(mc, "_char_eval", spy)
-    stacked = mc._char_eval(weight, eig.reshape(2, 3, 4))
-    assert stacked.shape == (2, 3)
-    assert sum(one_spectrum) == 2                      # rows 1 and 4 only
-    assert np.max(np.abs(stacked.reshape(-1) - rows)) < 1e-12
-    assert abs(rows[4] - mc.weyl_dim(weight)) < 1e-9
-    monkeypatch.undo()
-    lines = np.exp(2j * np.pi * rng.random((5, 1)))
-    assert np.array_equal(mc._char_eval((3,), lines), [mc._char_eval((3,), e) for e in lines])
-    assert np.array_equal(mc.weyl_character_eval(Partition((1,)), Partition(()), lines),
-                          lines[:, 0])
-
-
 def test_su_u_agreement_above_threshold():
     # n = 5 > (k+l)|w| = 4: SU-sampled estimate must match the exact 1/5
     res = mc.mc_expect(Partition((1,)), Partition(()), COMM, 5, 8000,
@@ -213,6 +188,42 @@ def ssyt_schur_eval(lam, xs):
 
     place(0, 1.0 + 0j)
     return total
+
+
+_MIXED_LABELS = [(lam, mu) for total in range(5) for k in range(total + 1)
+                 for lam in partitions_of(k) for mu in partitions_of(total - k)]
+
+
+@st.composite
+def _labelled_spectra(draw):
+    """A label with |lambda| + |mu| <= 4, and a stack of 1-3 spectra in U(n),
+    n <= 8, whose eigenvalues come from a pool of `distinct` phases: every
+    spectrum has forced collisions when distinct < n, and is scalar when
+    distinct = 1."""
+    lam, mu = draw(st.sampled_from(_MIXED_LABELS))
+    n = draw(st.integers(max(lam.length + mu.length, 1), 8))
+    distinct = draw(st.integers(1, n))
+    phases = draw(st.lists(st.floats(0, 2 * math.pi), min_size=distinct, max_size=distinct))
+    picks = draw(st.lists(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n),
+                          min_size=1, max_size=3))
+    return lam, mu, np.exp(1j * np.array(phases))[np.array(picks)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_labelled_spectra())
+def test_character_matches_koike_tableau_sum(case):
+    """weyl_character_eval against a route it does not use: the mixed
+    expansion sum alpha s_{lambda'}(x) s_{mu'}(1/x), each Schur value a sum
+    over semistandard tableaux.  A stack's rows equal single-spectrum calls
+    bit for bit."""
+    lam, mu, stack = case
+    values = mc.weyl_character_eval(lam, mu, stack)
+    rows = [mc.weyl_character_eval(lam, mu, xs) for xs in stack]
+    assert np.array_equal(values, rows)
+    for value, xs in zip(values, stack):
+        want = sum(alpha * ssyt_schur_eval(Partition(lp), xs) * ssyt_schur_eval(Partition(mp), 1 / xs)
+                   for (lp, mp), alpha in koike_expand(lam.parts, mu.parts).items())
+        assert abs(value - want) <= 1e-10, (lam, mu, xs)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])

@@ -93,19 +93,16 @@ def test_submultiplicativity_of_returns():
             assert probs[2 * (m1 + m2)] >= probs[2 * m1] * probs[2 * m2]
 
 
-def _loop_return_probabilities(measure, steps, exact):
+def _loop_return_probabilities(measure, steps):
     """Reference distance-chain DP, one mass at a time."""
     r = measure.rank
     p0, p1 = rwalk._radial_transition(measure)
-    if not exact:
-        p0, p1 = float(p0), float(p1)
-    zero = Fraction(0) if exact else 0.0
-    dist = [zero] * (steps + 1)
-    dist[0] = Fraction(1) if exact else 1.0
+    dist = [Fraction(0)] * (steps + 1)
+    dist[0] = Fraction(1)
     out = [dist[0]]
     fwd = p1 * (2 * r - 1)
     for _ in range(steps):
-        new = [zero] * (steps + 1)
+        new = [Fraction(0)] * (steps + 1)
         for d, mass in enumerate(dist):
             if d == 0:
                 new[0] += mass * p0
@@ -120,47 +117,53 @@ def _loop_return_probabilities(measure, steps, exact):
     return out
 
 
-def _loop_schur_upper(measure, d_max=2000):
-    """Reference radial Schur bound, one (s, a) pair at a time."""
-    r = measure.rank
-    q = 2 * r - 1
-    p0, p1 = (float(x) for x in rwalk._radial_transition(measure))
-    center = 1.0 / math.sqrt(q)
-    a0 = r / max(r - 1, 0.5)
-    d = np.arange(1.0, d_max + 1.0)
-    best = math.inf
-    for s in np.geomspace(center * 0.9, min(0.9999, center * 1.1), 60):
-        for a in np.linspace(0.5 * max(1.0, a0), 3.0 * max(2.0, a0), 60):
-            at_zero = p0 + p1 * 2 * r * ((1 + a) * s) / a
-            tail = p0 + p1 * ((d - 1 + a) / ((d + a) * s) + q * s * (d + 1 + a) / (d + a))
-            limit = p0 + p1 * (1.0 / s + q * s)
-            best = min(best, max(at_zero, float(tail.max()), limit))
-    return best
+def _radial_measure(r, lazy):
+    return rwalk.WalkMeasure.lazy_uniform(r) if lazy else rwalk.WalkMeasure.uniform_generators(r)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("lazy", [False, True])
 def test_radial_brackets_match_scalar_loops(r, lazy):
-    mu = rwalk.WalkMeasure.lazy_uniform(r) if lazy else rwalk.WalkMeasure.uniform_generators(r)
-    floats = rwalk._radial_return_probabilities(mu, 800, exact=False)
-    assert floats == _loop_return_probabilities(mu, 800, exact=False)
-    assert all(type(p) is float for p in floats)
+    mu = _radial_measure(r, lazy)
     fractions = rwalk._radial_return_probabilities(mu, 40)
-    assert fractions == _loop_return_probabilities(mu, 40, exact=True)
+    assert fractions == _loop_return_probabilities(mu, 40)
     assert all(type(p) is Fraction for p in fractions)
-    assert rwalk._radial_schur_upper(mu) == _loop_schur_upper(mu)
 
 
 def test_spectral_radius_kesten():
     mu = rwalk.WalkMeasure.uniform_generators(2)
-    bracket = rwalk.spectral_radius(mu)
+    bracket = rwalk.spectral_radius(mu, ball_radius=8)
     kesten = math.sqrt(3) / 2
     assert bracket.lower <= kesten <= bracket.upper
-    assert bracket.width() < 0.05
-    assert bracket.details["schur_upper"] == bracket.upper
+    assert bracket.width() <= 4 * math.ulp(kesten)
     probs = rwalk._radial_return_probabilities(mu, 40)
     for n in range(41):
         assert float(probs[n]) <= bracket.upper ** n + 1e-12
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_kesten_closed_form_against_returns_and_balls(r, lazy):
+    """Two routes the closed form does not use.  Every even-step return
+    probability gives P(2m)^(1/2m) <= rho.  The ball of radius R holds the
+    radial test function q^(-d/2) sin(pi (d + 1) / (R + 2)), on which the
+    walk without its identity atom acts as at least rho' cos(pi / (R + 2))
+    times itself (q = 2r - 1, rho' = 2 p1 sqrt(q)); so the compressed norm
+    lies in [p0 + rho' cos(pi / (R + 2)), rho]."""
+    mu = _radial_measure(r, lazy)
+    bracket = rwalk.spectral_radius(mu)
+    assert bracket.details == {"closed_form": "Kesten"}
+    assert 0 <= bracket.width() <= 4 * math.ulp(bracket.upper)
+    if r == 1:
+        assert bracket.upper <= 1.0
+    probs = rwalk._radial_return_probabilities(mu, 40)
+    for m in range(1, 21):
+        assert float(probs[2 * m]) ** (1 / (2 * m)) <= bracket.upper
+    radius = 8 if r < 3 else 7            # radius 8 on F_3 is over the ball cap
+    ball = rwalk._compressed_norm({w: complex(p) for w, p in mu.support.items()}, r, radius)
+    p0, p1 = (float(p) for p in rwalk._radial_transition(mu))
+    radial = p0 + 2 * p1 * math.sqrt(2 * r - 1) * math.cos(math.pi / (radius + 2))
+    assert radial - 1e-9 <= ball <= bracket.upper
 
 
 def test_spectral_radius_point_mass():
@@ -176,7 +179,7 @@ def test_spectral_radius_general_measure_brackets():
                                 rank=2)
     bracket = rwalk.spectral_radius(general)
     assert 0 < bracket.lower <= bracket.upper == 1.0
-    assert "schur_upper" not in bracket.details
+    assert "closed_form" not in bracket.details      # not radial: no Kesten path
 
 
 def test_ball_compression_monotone():
