@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 from .errors import (ConvergenceError, ResourceCapError, TheoremViolationError,
                      ValidationError)
@@ -249,7 +250,10 @@ def _cmd_selftest(args):
     return EXIT_OK if ok else EXIT_THEOREM
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every `run` call can share it."""
     parser = argparse.ArgumentParser(
         prog="haarwords",
         description="Exact Haar-unitary word integrals, strong-convergence "
@@ -260,9 +264,10 @@ def build_parser():
     p.add_argument("--word", required=True)
     p.add_argument("--lambda", dest="lam", default="", help="partition, e.g. 2,1")
     p.add_argument("--mu", default="")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--symbolic", action="store_true",
-                   help="return the rational function of n instead of a value")
+    at = p.add_mutually_exclusive_group()
+    at.add_argument("--n", type=int, default=None)
+    at.add_argument("--symbolic", action="store_true",
+                    help="return the rational function of n instead of a value")
     p.set_defaults(func=_cmd_expect)
 
     p = sub.add_parser("wg", help="Weingarten function value")

@@ -2,30 +2,39 @@
 maps over tuples of independent Haar unitaries, plus the exact
 pole-cleared polynomial g_L(x) E(1/x) in x = 1/n.
 
-The integration core enumerates, per generator, all pairings of row and
-column index slots (Weingarten calculus); each pairing contributes the
-product of Weingarten values times n to the number of closed loops of the
-slot-wiring graph.  Everything is exact: Fractions at fixed n, rational
+The integration core lays the trace factors out as open strings and
+enumerates, per generator, all pairings of row and column index slots
+(Weingarten calculus); each pairing contributes the product of Weingarten
+values times n to the number of closed loops once the strings are glued
+into traces.  Everything is exact: Fractions at fixed n, rational
 functions of n symbolically.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+
+import numpy as np
 
 from . import perms
-from .errors import (StructureViolationError, TheoremViolationError,
+from .errors import (ResourceCapError, StructureViolationError, TheoremViolationError,
                      UnsupportedSizeError, ValidationError)
 from .freegroup import Word, is_proper_power, whitehead_minimal
 from .ratfunc import Polynomial, RationalFunction
-from .symgroup import Partition, koike_expand, powersum_schur_basechange
+from .symgroup import Partition, character, koike_expand
 from .weingarten import common_denominator, lifted_wg, wg
 
 OCCURRENCE_CAP = 4
+# Pairings one table may enumerate: 1.6-2.2 million a second on one core
+# (2-vCPU host), so a table at the cap takes 1.5-2 minutes; 576^3 (three
+# generators, four occurrences each) fits, 576^4 (16 hours) does not.
+PAIRING_CAP = 2 * 10**8
+CHUNK_ENTRIES = 1 << 16     # node entries per chunk: 512 KiB per int64 array
 HELD_OUT_POINTS = 5
 
 
@@ -73,85 +82,185 @@ class TraceMonomial:
         return iter(self.factors)
 
 
-def slot_families(monomial):
-    """Index-slot layout: per generator, the (row, col) variable pairs of
-    its plus and minus (conjugated) matrix entries, plus the variable count.
+def _string_layout(strings, max_occurrence):
+    """Lay the trace factors out as open strings, after the size checks.
 
-    Within a trace factor of length q the cyclic index variables are
-    v_0..v_{q-1}; the letter at position t contributes u[v_t, v_{t+1}] for
-    a generator and conj(u)[v_{t+1}, v_t] for an inverse.  An empty factor
-    keeps one free variable (its trace is n).  The matchings summed by the
-    integrator are, per generator, pairs of bijections between the plus
-    and minus slot families (one for rows, one for columns); the families
-    returned here are exactly those domains.
+    Nodes: the start of every letter, grouped by generator with its plus
+    letters before its minus letters; then one terminal N + i for the end
+    of string i.  nxt[v] is the node the letter starting at v ends on,
+    the next letter's start or its string's terminal; first[i] is the
+    start of string i, its own terminal when the string is empty.
+    Returns (degrees, pairings, nxt, first), with degrees the per-generator
+    occurrence counts and pairings = prod (p!)^2 the combinations to sum.
     """
-    plus = {}
-    minus = {}
-    nvars = 0
-    for w in monomial.factors:
-        q = len(w)
-        if q == 0:
-            nvars += 1
-            continue
-        base = nvars
-        nvars += q
-        for t, x in enumerate(w.letters):
-            row, col = base + t, base + (t + 1) % q
-            if x > 0:
-                plus.setdefault(x, []).append((row, col))
-            else:
-                minus.setdefault(-x, []).append((col, row))
-    return plus, minus, nvars
-
-
-def _moment_term_table(monomial, max_occurrence):
-    """Group the Weingarten expansion by (per-generator cycle types, loop
-    count): the result maps those keys to integer multiplicities and does
-    not depend on n, so repeated evaluations at many n are cheap.
-
-    Every index variable is the outgoing end of exactly one slot: the row
-    of a plus slot or the column of a minus slot.  A pairing (sigma, tau)
-    per generator therefore defines a permutation f of the variables,
-    f[row of plus slot s] = row of minus slot sigma(s) and
-    f[col of minus slot tau(s)] = col of plus slot s, with the variables
-    of empty factors fixed; the closed loops are the cycles of f.
-    """
-    plus, minus, nvars = slot_families(monomial)
-    gens = sorted(set(plus) | set(minus))
+    slots = {}
+    for i, letters in enumerate(strings):
+        for t, x in enumerate(letters):
+            slots.setdefault(abs(x), ([], []))[x < 0].append((i, t))
+    gens = sorted(slots)
+    degrees = []
     for g in gens:
-        if len(plus.get(g, [])) != len(minus.get(g, [])):
+        plus, minus = slots[g]
+        if len(plus) != len(minus):
             raise ValidationError("unbalanced monomial has no Weingarten expansion")
-        if len(plus.get(g, [])) > max_occurrence:
+        if len(plus) > max_occurrence:
             raise UnsupportedSizeError(
-                f"generator x{g} occurs {len(plus[g])} times, cap is {max_occurrence}")
-    degrees = [len(plus[g]) for g in gens]
-    # Per generator and (sigma, tau): the cycle type of sigma tau^-1 and
-    # the (variable, image) assignments the pairing makes in f.
-    choices = []
-    for g, p in zip(gens, degrees):
-        pslots, mslots = plus[g], minus[g]
-        options = []
-        for sigma, tau in itertools.product(perms.all_perms(p), perms.all_perms(p)):
-            ct = perms.cycle_type(perms.compose(sigma, perms.inverse(tau)))
-            arrows = ([(row, mslots[sigma[s]][0]) for s, (row, _) in enumerate(pslots)]
-                      + [(mslots[tau[s]][1], col) for s, (_, col) in enumerate(pslots)])
-            options.append((ct, arrows))
-        choices.append(options)
-    table = {}
-    f = list(range(nvars))
-    for combo in itertools.product(*choices):
-        for _, arrows in combo:
-            for v, image in arrows:
-                f[v] = image
-        key = (tuple(ct for ct, _ in combo), perms.num_cycles(f))
-        table[key] = table.get(key, 0) + 1
-    return table, tuple(degrees)
+                f"generator x{g} occurs {len(plus)} times, cap is {max_occurrence}")
+        degrees.append(len(plus))
+    pairings = math.prod(math.factorial(p) ** 2 for p in degrees)
+    if pairings > PAIRING_CAP:
+        raise ResourceCapError(
+            f"{pairings} Weingarten pairings to enumerate, cap is {PAIRING_CAP}")
+    order = [slot for g in gens for family in slots[g] for slot in family]
+    node = {slot: v for v, slot in enumerate(order)}
+    N = len(order)
+    nxt = np.array([node[(i, t + 1)] if t + 1 < len(strings[i]) else N + i
+                    for i, t in order], dtype=np.intp)
+    first = np.array([node[(i, 0)] if letters else N + i
+                      for i, letters in enumerate(strings)], dtype=np.intp)
+    return tuple(degrees), pairings, nxt, first
 
 
 @lru_cache(maxsize=None)
-def _cached_term_table(factor_key, max_occurrence):
-    monomial = TraceMonomial(tuple(Word(letters) for letters in factor_key))
-    return _moment_term_table(monomial, max_occurrence)
+def _pairing_options(p):
+    """Every pairing (sigma, tau) of one generator's p plus and p minus
+    letters: the rows of sigma and of nu = tau^-1 as index arrays, the
+    position of the cycle type of sigma tau^-1 in `types`, and `types`."""
+    elements = perms.all_perms(p)
+    types = tuple(sorted({perms.cycle_type(s) for s in elements}, reverse=True))
+    position = {ct: i for i, ct in enumerate(types)}
+    pairs = list(itertools.product(elements, elements))
+    sigma = np.array([s for s, _ in pairs], dtype=np.intp).reshape(len(pairs), p)
+    nu = np.array([v for _, v in pairs], dtype=np.intp).reshape(len(pairs), p)
+    ids = np.array([position[perms.cycle_type(perms.compose(s, v))] for s, v in pairs],
+                   dtype=np.int64)
+    return sigma, nu, ids, types
+
+
+@lru_cache(maxsize=None)
+def _pairing_table(strings, max_occurrence):
+    """The Weingarten expansion of the open strings, grouped: returns
+    (degrees, table) with table[cts] the (closed, M, count) rows of the
+    pairings whose per-generator cycle types are cts.
+
+    A pairing (sigma, tau) per generator wires every letter start to a
+    letter end: the start of plus letter s to the end of minus letter
+    sigma(s), and the start of minus letter tau(s) to the end of plus
+    letter s (rows and columns of the paired matrix entries).  That map F
+    sends a node to a node; terminals are fixed.  Its cycles are the
+    closed loops, and the path from the start of string j ends at the
+    terminal of string M(j), a permutation of the strings.  Gluing the end
+    of string i to the start of string gamma(i) closes the paths into
+    cycles(gamma M) further loops; gamma = id is the product of the traces
+    of the strings.
+
+    The pairings are counted with numpy, CHUNK_ENTRIES node entries at a
+    time: each chunk's rows of F are gathered from the per-generator
+    options, and pointer doubling gives F^(2^s) with 2^s >= N, which maps
+    every path to its terminal, together with the least node of each
+    cycle.  The rows are keyed by (cycle types, closed, M) and counted.
+    """
+    degrees, pairings, nxt, first = _string_layout(strings, max_occurrence)
+    N, m = len(nxt), len(strings)
+    width = N + m
+    factors = []     # per generator: (first column, option rows, cycle-type code, place)
+    column, place, ct_place, types = 0, 1, 1, []
+    for p in degrees:
+        sigma, nu, ids, cts = _pairing_options(p)
+        options = np.concatenate([nxt[column + p:column + 2 * p][sigma],
+                                  nxt[column:column + p][nu]], axis=1)
+        factors.append((column, options, ids * ct_place, place))
+        column, place, ct_place = column + 2 * p, place * len(ids), ct_place * len(cts)
+        types.append(cts)
+    span = m ** m
+    if ct_place * (N + 1) * span >= 2**63:
+        raise UnsupportedSizeError(f"{m} trace factors exceed the 64-bit pairing key")
+    steps = (N - 1).bit_length() if N else 0
+    rows = max(1, CHUNK_ENTRIES // max(width, 1))
+    code_of_end = m ** np.arange(m, dtype=np.int64)
+    counter = collections.Counter()
+    for lo in range(0, pairings, rows):
+        combo = np.arange(lo, min(pairings, lo + rows), dtype=np.int64)
+        offsets = (np.arange(len(combo), dtype=np.intp) * width)[:, None]
+        F = np.empty((len(combo), width), dtype=np.intp)
+        F[:, N:] = np.arange(N, width)
+        ct_code = np.zeros(len(combo), dtype=np.int64)
+        for start, options, ids, place in factors:
+            digit = combo // place % len(ids)
+            F[:, start:start + options.shape[1]] = options[digit]
+            ct_code += ids[digit]
+        F += offsets
+        least = np.tile(np.arange(width, dtype=np.int16), (len(combo), 1))
+        for _ in range(steps):
+            np.minimum(least, least.ravel()[F], out=least)
+            F = F.ravel()[F]
+        on_cycle = F[:, :N] < offsets + N
+        closed = ((least[:, :N] == np.arange(N)) & on_cycle).sum(axis=1)
+        ends = F[:, first] - offsets - N
+        # stable: the default SIMD sort (and np.unique) raise peak RSS more
+        keys = np.sort((ct_code * (N + 1) + closed) * span + ends @ code_of_end, kind="stable")
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        counts = np.diff(starts, append=len(keys))
+        counter.update(dict(zip(keys[starts].tolist(), counts.tolist())))
+    table = {}
+    for key, count in sorted(counter.items()):
+        rest, code = divmod(key, span)
+        ct_code, closed = divmod(rest, N + 1)
+        cts = []
+        for choices in types:
+            ct_code, i = divmod(ct_code, len(choices))
+            cts.append(choices[i])
+        M = tuple(code // m**j % m for j in range(m))
+        table.setdefault(tuple(cts), []).append((closed, M, count))
+    return degrees, table
+
+
+def _loop_polynomials(table, gluing):
+    """Per cycle types, the integer coefficients in n of the sum over the
+    table rows of count * n^closed * gluing(M), where gluing(M) lists the
+    coefficients contributed by the paths."""
+    by_matching = {}
+    polys = {}
+    for cts, rows in table.items():
+        coeffs = []
+        for closed, M, count in rows:
+            if M not in by_matching:
+                by_matching[M] = gluing(M)
+            for i, c in enumerate(by_matching[M], closed):
+                coeffs.extend([0] * (i + 1 - len(coeffs)))
+                coeffs[i] += count * c
+        if any(coeffs):
+            polys[cts] = coeffs
+    return polys
+
+
+def _integrate(degrees, polys, n, scale=1):
+    """scale * sum over cycle types cts of polys[cts](n) * prod_g
+    Wg_{L_g}(ct_g): a Fraction at integer n, each Weingarten value
+    evaluated once; a RationalFunction of n when n is None, whose
+    Weingarten numerators over D_L add up and normalise once."""
+    if n is not None:
+        nf = Fraction(n)
+        total = Fraction(0)
+        for cts, coeffs in polys.items():
+            term = Fraction(sum(c * n**i for i, c in enumerate(coeffs)))
+            for L, ct in zip(degrees, cts):
+                term *= wg(L, ct)(nf)
+            total += term
+        return total * scale
+    num = Polynomial()
+    for cts, coeffs in polys.items():
+        term = Polynomial(coeffs)
+        for L, ct in zip(degrees, cts):
+            term = term * lifted_wg(L, ct)
+        num = num + term
+    return RationalFunction(num * scale, math.prod(common_denominator(L) for L in degrees))
+
+
+def _check_dimension(degrees, n):
+    if n is not None and degrees and n < max(degrees):
+        raise ValidationError(
+            f"need n >= {max(degrees)} for the exact Weingarten value at n={n}")
 
 
 def exact_word_moment(monomial, n=None, max_occurrence=OCCURRENCE_CAP, explain=False):
@@ -160,49 +269,20 @@ def exact_word_moment(monomial, n=None, max_occurrence=OCCURRENCE_CAP, explain=F
     With integer n the value is an exact Fraction (requires n >= the
     largest per-generator occurrence count); with n None it is an exact
     RationalFunction of the dimension.  Unbalanced monomials integrate to
-    exactly 0 by phase invariance of the Haar measure.
+    exactly 0 by phase invariance of the Haar measure.  The factors are
+    the open strings of `_pairing_table`, each closed on itself.
     """
     if not isinstance(monomial, TraceMonomial):
         monomial = TraceMonomial.of(*monomial)
     if not monomial.is_balanced():
         zero = Fraction(0) if n is not None else RationalFunction(0)
         return (zero, "phase-invariance") if explain else zero
-    key = tuple(w.letters for w in monomial.factors)
-    table, degrees = _cached_term_table(key, max_occurrence)
-    if n is not None:
-        if degrees and n < max(degrees):
-            raise ValidationError(
-                f"need n >= {max(degrees)} for the exact Weingarten value at n={n}")
-        nf = Fraction(n)
-        total = Fraction(0)
-        for (cts, loops), count in table.items():
-            term = nf**loops * count
-            for L, ct in zip(degrees, cts):
-                term *= wg(L, ct)(nf)
-            total += term
-        return (total, None) if explain else total
-    # Symbolically: per group of cycle types, the integer polynomial
-    # sum count * n^loops times each generator's Weingarten numerator over
-    # its D_L; the numerators add, and the sum normalises once.
-    loops_by_cts = {}
-    for (cts, loops), count in table.items():
-        loops_by_cts.setdefault(cts, {})[loops] = count
-    num = Polynomial()
-    for cts, counts in loops_by_cts.items():
-        term = Polynomial([counts.get(i, 0) for i in range(max(counts) + 1)])
-        for L, ct in zip(degrees, cts):
-            term = term * lifted_wg(L, ct)
-        num = num + term
-    total = RationalFunction(num, math.prod(common_denominator(L) for L in degrees))
+    degrees, table = _pairing_table(tuple(w.letters for w in monomial.factors),
+                                    max_occurrence)
+    _check_dimension(degrees, n)
+    polys = _loop_polynomials(table, lambda M: (0,) * perms.num_cycles(M) + (1,))
+    total = _integrate(degrees, polys, n)
     return (total, None) if explain else total
-
-
-def _powersum_terms(lam):
-    """s_lambda as a power-sum combination: [(cycle type rho, coeff)]."""
-    if lam.size == 0:
-        return [(Partition(), Fraction(1))]
-    bc = powersum_schur_basechange(lam.size)
-    return [(rho, c) for rho, c in bc.schur_to_powersum[lam].items() if c != 0]
 
 
 def expect_stable_character(lam, mu, w, n=None, max_occurrence=OCCURRENCE_CAP):
@@ -219,24 +299,67 @@ def expect_stable_character(lam, mu, w, n=None, max_occurrence=OCCURRENCE_CAP):
 
 
 def _expect_raw(lam, mu, w, n=None, max_occurrence=OCCURRENCE_CAP):
-    """`expect_stable_character` on w exactly as given.
-
-    Route: expand the mixed character into products of polynomial
-    characters of w and w^-1, convert those to power sums (products of
-    traces of word powers), and integrate each trace monomial exactly.
-    """
+    """`expect_stable_character` on w exactly as given.  Its copies are
+    laid out letter for letter, so the occurrence cap and the n guard see
+    k' times the occurrences of w, even where w is not cyclically reduced
+    and its powers would cancel."""
     lam, mu = Partition(tuple(lam)), Partition(tuple(mu))
-    expansion = koike_expand(lam.parts, mu.parts)
-    w_inv = w.inverse()
+    blocks = _character_blocks(w.letters, lam.parts, mu.parts, max_occurrence)
     total = Fraction(0) if n is not None else RationalFunction(0)
-    for (lam_p, mu_p), alpha in expansion.items():
-        for rho1, c1 in _powersum_terms(lam_p):
-            for rho2, c2 in _powersum_terms(mu_p):
-                factors = [w**p for p in rho1.parts] + [w_inv**p for p in rho2.parts]
-                moment = exact_word_moment(TraceMonomial(tuple(factors)), n=n,
-                                           max_occurrence=max_occurrence)
-                total = total + moment * (alpha * c1 * c2)
+    for degrees, polys, scale in blocks:
+        _check_dimension(degrees, n)
+        total = total + _integrate(degrees, polys, n, scale)
     return total
+
+
+def _glued_loops(weights, M):
+    """Coefficients of sum over (gamma, c) in weights of c * n^cycles(gamma M)."""
+    coeffs = [0] * (len(M) + 1)
+    for gamma, c in weights:
+        coeffs[perms.num_cycles(perms.compose(gamma, M))] += c
+    return coeffs
+
+
+@lru_cache(maxsize=None)
+def _character_blocks(letters, lam_parts, mu_parts, max_occurrence):
+    """s_{lambda,mu}(w) as (degrees, polynomials, scale) blocks for
+    `_integrate`, one per size (k', l') of its mixed-character expansion.
+
+    Koike: s_{lambda,mu}(g) = sum alpha s_lambda'(g) s_mu'(g^-1), and
+    s_lambda'(w) s_mu'(w^-1) = 1/(k'! l'!) sum over gamma in S_k' x S_l' of
+    chi_lambda'(gamma_1) chi_mu'(gamma_2) times the product of traces that
+    gamma glues from k' copies of w and l' copies of w^-1.  So one table
+    of those copies as open strings serves every lambda', mu' and cycle
+    type of that size: a pairing with endpoint matching M gives
+    n^closed * sum_gamma c(gamma) n^cycles(gamma M), with c summing the
+    alpha-weighted characters.  Blocks whose copies are unbalanced
+    integrate to 0 and are left out.  The sizes are (|lambda| - j,
+    |mu| - j), a chain, and the largest comes first, so its table meets
+    the size caps before any other is built.
+    """
+    w = Word(letters)
+    w_inv = w.inverse()
+    by_size = {}
+    for (lam_p, mu_p), alpha in koike_expand(lam_parts, mu_parts).items():
+        by_size.setdefault((lam_p.size, mu_p.size), []).append((lam_p, mu_p, alpha))
+    blocks = []
+    for (k, ell), labels in sorted(by_size.items(), reverse=True):
+        if not TraceMonomial((w,) * k + (w_inv,) * ell).is_balanced():
+            continue
+        degrees, table = _pairing_table((letters,) * k + (w_inv.letters,) * ell,
+                                        max_occurrence)
+        weights = []
+        for g1 in perms.all_perms(k):
+            for g2 in perms.all_perms(ell):
+                rho1 = Partition(perms.cycle_type(g1))
+                rho2 = Partition(perms.cycle_type(g2))
+                c = sum(alpha * character(lam_p, rho1) * character(mu_p, rho2)
+                        for lam_p, mu_p, alpha in labels)
+                if c:
+                    weights.append((g1 + tuple(k + x for x in g2), c))
+        polys = _loop_polynomials(table, partial(_glued_loops, weights))
+        blocks.append((degrees, polys, Fraction(1, math.factorial(k) * math.factorial(ell))))
+    return tuple(blocks)
 
 
 def degree_bound(K, q):

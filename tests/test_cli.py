@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from haarwords import cli, montecarlo, rwalk
+from haarwords import cli, montecarlo, rwalk, wordint
 from haarwords.errors import ConvergenceError
 
 
@@ -47,6 +48,61 @@ def test_expect_integrates_the_whitehead_minimal_word(capsys, argv, value):
     assert code == 0
     blob = json.loads(out)
     assert blob["value"] == value and blob["word"] == argv[1]
+
+
+@pytest.mark.parametrize("argv,stdout", [
+    (["--lambda", "2,2", "--n", "10"],
+     '{"lambda": [2, 2], "mu": [], "n": 10, "value": "1/825", "word": "abAB"}\n'),
+    (["--lambda", "1,1", "--mu", "1,1", "--n", "10"],
+     '{"lambda": [1, 1], "mu": [1, 1], "n": 10, "value": "1/1925", "word": "abAB"}\n'),
+    (["--lambda", "2,2", "--symbolic"],
+     '{"lambda": [2, 2], "mu": [], "symbolic": {"den": ["0", "0", "-1", "0", "1"], '
+     '"num": ["12"]}, "word": "abAB"}\n'),
+], ids=["2,2-n10", "1,1-1,1-n10", "2,2-symbolic"])
+def test_expect_k4_matches_pinned_output(capsys, argv, stdout):
+    # K = 4 on the commutator: the stdout of the per-monomial engine,
+    # byte for byte (1/dim s_{lambda,mu} at n = 10, 12/(n^2 (n^2 - 1)))
+    code, out, _ = run_cli(capsys, "expect", "--word", "abAB", *argv)
+    assert code == 0 and out == stdout
+
+
+def test_pairing_cap_refuses_before_enumerating(capsys):
+    # [a,b][c,d] with lambda = 2,2: four copies of the word, four
+    # occurrences of each of four generators, (4!)^8 pairings in one table
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "expect", "--word", "abABcdCD", "--lambda", "2,2",
+                             "--n", "10")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert str(math.factorial(4) ** 8) in err and str(wordint.PAIRING_CAP) in err
+
+
+def test_parser_reuse_matches_fresh_processes():
+    # one process: a call argparse rejects, then two good ones, through the
+    # parser built once; each good call's stdout equals a fresh process's
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    calls = [["expect", "--word", "abAB", "--lambda", "1", "--symbolic", "--n", "3"],
+             ["expect", "--word", "abAB", "--lambda", "2,1", "--n", "6"],
+             ["wg", "--L", "4", "--cycle-type", "2,1,1"]]
+    script = ("import contextlib, io, json\n"
+              "from haarwords import cli\n"
+              "results = []\n"
+              f"for argv in {calls!r}:\n"
+              "    out = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out):\n"
+              "        results.append([cli.run(argv), out.getvalue()])\n"
+              "print(json.dumps([results, cli.build_parser.cache_info().misses]))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    results, builds = json.loads(done.stdout.splitlines()[-1])
+    assert builds == 1
+    assert results[0] == [2, ""]
+    for argv, (code, stdout) in zip(calls[1:], results[1:]):
+        fresh = subprocess.run([sys.executable, "-m", "haarwords.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        assert code == fresh.returncode == 0
+        assert stdout == fresh.stdout and stdout
 
 
 def test_wg_value(capsys):
@@ -181,6 +237,8 @@ def _no_convergence(*args, **kwargs):
     (["bounds", "bump", "--eps", "nan"], None, 2, "epsilon"),
     (["bounds", "bump", "--eps", "0.5", "--tmax", "-5"], None, 2, "--tmax"),
     (["dims", "--n", "3", "--l1-cap", "-1"], None, 2, "--l1-cap"),
+    (["expect", "--word", "abAB", "--lambda", "1", "--symbolic", "--n", "3"], None, 2,
+     "not allowed with"),
 ], ids=["rwalk-samples-0", "rwalk-r-0", "rwalk-steps-negative", "dims-n-0",
         "strongconv-n-below-k", "strongconv-no-convergence", "wg-n-below-L", "strongconv-samples-0",
         "gcheck-float-overflow", "interp-n-start-0", "strongconv-k-negative",
@@ -188,7 +246,7 @@ def _no_convergence(*args, **kwargs):
         "expect-n-below-lengths", "strongconv-r-0", "strongconv-term-above-r",
         "strongconv-no-n", "rwalk-stack-over-cap", "wg-permutation-120",
         "wg-permutation-210", "bump-eps-inf", "bump-eps-nan", "bump-tmax-negative",
-        "dims-l1-cap-negative"])
+        "dims-l1-cap-negative", "expect-symbolic-with-n"])
 def test_failures_end_with_mapped_exit_code(capsys, monkeypatch, argv, patch, expected,
                                             stderr_has):
     if patch is not None:

@@ -1,5 +1,7 @@
 import collections
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,17 +10,133 @@ from hypothesis import strategies as st
 
 from haarwords import cli
 from haarwords import freegroup as fg
+from haarwords import perms
 from haarwords import wordint as wi
 from haarwords.montecarlo import mixed_dimension
 from haarwords.bounds import g_polynomial
 from haarwords.errors import (StructureViolationError, TheoremViolationError,
                               UnsupportedSizeError, ValidationError)
 from haarwords.ratfunc import Polynomial, RationalFunction, solve_exact
-from haarwords.symgroup import Partition, partitions_of, schur_dim_poly
+from haarwords.symgroup import (Partition, koike_expand, partitions_of,
+                                powersum_schur_basechange, schur_dim_poly)
+from haarwords.weingarten import wg
 
 A = fg.parse_word("a")
 B = fg.parse_word("b")
 COMM = fg.parse_word("abAB")
+
+
+# The second route: one Weingarten expansion per trace monomial, closed
+# traces and a Python loop over the pairings, and characters expanded into
+# power sums.  `wordint` enumerated this way before its open-string tables.
+
+def oracle_term_table(monomial, max_occurrence=wi.OCCURRENCE_CAP):
+    """{(per-generator cycle types, loop count): count} and the degrees.
+
+    Within a factor of length q the cyclic index variables are v_0..v_q-1;
+    the letter at position t contributes u[v_t, v_t+1] for a generator and
+    conj(u)[v_t+1, v_t] for an inverse, and an empty factor keeps one free
+    variable.  A pairing (sigma, tau) per generator defines a permutation
+    f of the variables, f[row of plus slot s] = row of minus slot sigma(s)
+    and f[col of minus slot tau(s)] = col of plus slot s; the closed loops
+    are the cycles of f.
+    """
+    plus, minus, nvars = {}, {}, 0
+    for w in monomial.factors:
+        q = len(w)
+        if q == 0:
+            nvars += 1
+            continue
+        for t, x in enumerate(w.letters):
+            row, col = nvars + t, nvars + (t + 1) % q
+            if x > 0:
+                plus.setdefault(x, []).append((row, col))
+            else:
+                minus.setdefault(-x, []).append((col, row))
+        nvars += q
+    gens = sorted(set(plus) | set(minus))
+    for g in gens:
+        if len(plus.get(g, [])) != len(minus.get(g, [])):
+            raise ValidationError("unbalanced monomial has no Weingarten expansion")
+        if len(plus.get(g, [])) > max_occurrence:
+            raise UnsupportedSizeError(f"generator x{g} occurs {len(plus[g])} times")
+    degrees = [len(plus[g]) for g in gens]
+    choices = []
+    for g, p in zip(gens, degrees):
+        options = []
+        for sigma, tau in itertools.product(perms.all_perms(p), perms.all_perms(p)):
+            ct = perms.cycle_type(perms.compose(sigma, perms.inverse(tau)))
+            arrows = ([(row, minus[g][sigma[s]][0]) for s, (row, _) in enumerate(plus[g])]
+                      + [(minus[g][tau[s]][1], col) for s, (_, col) in enumerate(plus[g])])
+            options.append((ct, arrows))
+        choices.append(options)
+    table = {}
+    f = list(range(nvars))
+    for combo in itertools.product(*choices):
+        for _, arrows in combo:
+            for v, image in arrows:
+                f[v] = image
+        key = (tuple(ct for ct, _ in combo), perms.num_cycles(f))
+        table[key] = table.get(key, 0) + 1
+    return table, tuple(degrees)
+
+
+def oracle_moment(monomial, n=None, max_occurrence=wi.OCCURRENCE_CAP):
+    """The oracle table summed entry by entry at integer n; symbolically,
+    per cycle types, sum count * n^loops times each Wg_L(ct) as its own
+    rational function."""
+    if not monomial.is_balanced():
+        return Fraction(0) if n is not None else RationalFunction(0)
+    table, degrees = oracle_term_table(monomial, max_occurrence)
+    if n is not None:
+        nf = Fraction(n)
+        return sum((nf**loops * count * math.prod(wg(L, ct)(nf) for L, ct in zip(degrees, cts))
+                    for (cts, loops), count in table.items()), Fraction(0))
+    loops_by_cts = {}
+    for (cts, loops), count in table.items():
+        coeffs = loops_by_cts.setdefault(cts, [0] * (loops + 1))
+        coeffs.extend([0] * (loops + 1 - len(coeffs)))
+        coeffs[loops] += count
+    total = RationalFunction(0)
+    for cts, coeffs in loops_by_cts.items():
+        term = RationalFunction(Polynomial(coeffs))
+        for L, ct in zip(degrees, cts):
+            term = term * wg(L, ct)
+        total = total + term
+    return total
+
+
+def oracle_expect(lam, mu, w, n=None, max_occurrence=wi.OCCURRENCE_CAP):
+    """s_{lambda,mu}(w) expanded by Koike into s_lambda'(w) s_mu'(w^-1),
+    each Schur function into power sums p_rho (products of traces of
+    powers of w), and every trace monomial integrated on its own."""
+    def powersum_terms(lam):
+        if lam.size == 0:
+            return [(Partition(), Fraction(1))]
+        bc = powersum_schur_basechange(lam.size)
+        return [(rho, c) for rho, c in bc.schur_to_powersum[lam].items() if c != 0]
+
+    total = Fraction(0) if n is not None else RationalFunction(0)
+    for (lam_p, mu_p), alpha in koike_expand(tuple(lam), tuple(mu)).items():
+        for rho1, c1 in powersum_terms(lam_p):
+            for rho2, c2 in powersum_terms(mu_p):
+                factors = [w**p for p in rho1.parts] + [w.inverse()**p for p in rho2.parts]
+                moment = oracle_moment(wi.TraceMonomial(tuple(factors)), n, max_occurrence)
+                total = total + moment * (alpha * c1 * c2)
+    return total
+
+
+def open_string_table(monomial):
+    """The open-string table of the factors glued into their own traces
+    (gamma = id), keyed as the oracle table: (cycle types, closed +
+    cycles(M)) -> count."""
+    degrees, table = wi._pairing_table(tuple(w.letters for w in monomial.factors),
+                                       wi.OCCURRENCE_CAP)
+    out = collections.Counter()
+    for cts, rows in table.items():
+        for closed, M, count in rows:
+            out[(cts, closed + perms.num_cycles(M))] += count
+    return dict(out), degrees
 
 
 def as_constant(rf):
@@ -60,6 +178,16 @@ def test_occurrence_cap():
         wi.exact_word_moment(m)
 
 
+def test_too_many_factors_for_the_pairing_key():
+    # tr(a) tr(A) ... tr(h) tr(H): one pairing, but 16^16 endpoint
+    # matchings do not fit the 64-bit key, so the table is refused
+    letters = [x for g in range(1, 9) for x in (g, -g)]
+    m = wi.TraceMonomial(tuple(fg.Word((x,)) for x in letters))
+    with pytest.raises(UnsupportedSizeError):
+        wi.exact_word_moment(m, n=3)
+    assert wi.exact_word_moment(wi.TraceMonomial(m.factors[:12]), n=3) == 1
+
+
 def test_empty_factor_is_dimension():
     m = wi.TraceMonomial.of(fg.Word(()))
     assert wi.exact_word_moment(m, n=6) == 6
@@ -88,6 +216,31 @@ def test_symbolic_moment_matches_fixed_n_sum(monomial):
     n0 = max(plus.values(), default=1)
     for n in range(n0, n0 + 5):
         assert symbolic(Fraction(n)) == wi.exact_word_moment(monomial, n=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(balanced_monomials())
+def test_open_string_tables_match_oracle_tables(monomial):
+    # glued by gamma = id, the vectorised open-string table is the
+    # closed-trace table of the Python loop over pairings
+    assert open_string_table(monomial) == oracle_term_table(monomial)
+
+
+def test_k4_table_memory_is_bounded_by_the_chunk():
+    # abAB four times: 576^2 pairings, 20 nodes each.  Unchunked, one int64
+    # node array would take 53 MB; in chunks of CHUNK_ENTRIES node entries
+    # the peak stays under eight int64 arrays of one chunk (4 MiB)
+    strings = (COMM.letters,) * 4
+    wi._pairing_table(((1, -1),), wi.OCCURRENCE_CAP)   # numpy's lazy set-up, untraced
+    wi._pairing_table.cache_clear()
+    tracemalloc.start()
+    try:
+        _, table = wi._pairing_table(strings, wi.OCCURRENCE_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(count for rows in table.values() for *_, count in rows) == 576**2
+    assert peak < 8 * 8 * wi.CHUNK_ENTRIES
 
 
 def test_commutator_stable_character_examples():
@@ -126,6 +279,27 @@ def test_commutator_mixed_character_is_inverse_dimension(lam, mu):
     for n in (4, 5):
         expected = Fraction(1, mixed_dimension(lam, mu, n))
         assert wi.expect_stable_character(lam, mu, COMM, n=n) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.text(alphabet="abAB", max_size=6), st.sampled_from(_mixed_labels(3)),
+       st.integers(3, 6))
+def test_stable_character_matches_oracle_route(text, labels, n):
+    # K <= 3 and at most 3 occurrences per generator (36^2 pairings per
+    # oracle monomial): one table per (k', l') against one per power-sum
+    # monomial, both on the Whitehead-minimal word, at n and symbolically
+    lam, mu = labels
+    w = fg.parse_word(text)
+    minimal = fg.whitehead_minimal(w)
+    try:
+        expected = (oracle_expect(lam, mu, minimal, n=n, max_occurrence=3),
+                    oracle_expect(lam, mu, minimal, max_occurrence=3))
+    except UnsupportedSizeError:
+        with pytest.raises(UnsupportedSizeError):
+            wi.expect_stable_character(lam, mu, w, n=n, max_occurrence=3)
+        return
+    assert wi.expect_stable_character(lam, mu, w, n=n, max_occurrence=3) == expected[0]
+    assert wi.expect_stable_character(lam, mu, w, max_occurrence=3) == expected[1]
 
 
 @pytest.mark.parametrize("word", ["ab", "aab"])
