@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from functools import lru_cache
 
@@ -85,7 +84,6 @@ def _cmd_expect(args):
     w = parse_word(args.word)
     lam = _parse_partition(args.lam)
     mu = _parse_partition(args.mu)
-    cap = int(os.environ.get("HAARWORDS_MAX_OCCURRENCE", wordint.OCCURRENCE_CAP))
     if not args.symbolic and args.n is None:
         raise ValidationError("--n is required unless --symbolic is given")
     if not args.symbolic and args.n < lam.length + mu.length:
@@ -93,11 +91,11 @@ def _cmd_expect(args):
         raise ValidationError(
             f"need n >= {lam.length + mu.length} for lambda, mu, got {args.n}")
     if args.symbolic:
-        value = wordint.expect_stable_character(lam, mu, w, n=None, max_occurrence=cap)
+        value = wordint.expect_stable_character(lam, mu, w, n=None)
         _emit_json({"word": args.word, "lambda": list(lam.parts), "mu": list(mu.parts),
                     "symbolic": value.to_json()})
     else:
-        value = wordint.expect_stable_character(lam, mu, w, n=args.n, max_occurrence=cap)
+        value = wordint.expect_stable_character(lam, mu, w, n=args.n)
         _emit_json({"word": args.word, "lambda": list(lam.parts), "mu": list(mu.parts),
                     "n": args.n, "value": str(value)})
     return EXIT_OK

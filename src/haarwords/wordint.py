@@ -13,7 +13,6 @@ functions of n symbolically.
 from __future__ import annotations
 
 import collections
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +28,9 @@ from .ratfunc import Polynomial, RationalFunction
 from .symgroup import Partition, character, koike_expand
 from .weingarten import common_denominator, lifted_wg, wg
 
-OCCURRENCE_CAP = 4
+# Occurrences of one generator: the option table of `_pairing_options`
+# holds (p!)^2 rows of 2p node indices, 50 MB at p = 6 and 2.8 GB at p = 7.
+OCCURRENCE_CAP = 6
 # Pairings one table may enumerate: 1.6-2.2 million a second on one core
 # (2-vCPU host), so a table at the cap takes 1.5-2 minutes; 576^3 (three
 # generators, four occurrences each) fits, 576^4 (16 hours) does not.
@@ -82,7 +83,7 @@ class TraceMonomial:
         return iter(self.factors)
 
 
-def _string_layout(strings, max_occurrence):
+def _string_layout(strings):
     """Lay the trace factors out as open strings, after the size checks.
 
     Nodes: the start of every letter, grouped by generator with its plus
@@ -103,9 +104,9 @@ def _string_layout(strings, max_occurrence):
         plus, minus = slots[g]
         if len(plus) != len(minus):
             raise ValidationError("unbalanced monomial has no Weingarten expansion")
-        if len(plus) > max_occurrence:
+        if len(plus) > OCCURRENCE_CAP:
             raise UnsupportedSizeError(
-                f"generator x{g} occurs {len(plus)} times, cap is {max_occurrence}")
+                f"generator x{g} occurs {len(plus)} times, cap is {OCCURRENCE_CAP}")
         degrees.append(len(plus))
     pairings = math.prod(math.factorial(p) ** 2 for p in degrees)
     if pairings > PAIRING_CAP:
@@ -124,21 +125,28 @@ def _string_layout(strings, max_occurrence):
 @lru_cache(maxsize=None)
 def _pairing_options(p):
     """Every pairing (sigma, tau) of one generator's p plus and p minus
-    letters: the rows of sigma and of nu = tau^-1 as index arrays, the
-    position of the cycle type of sigma tau^-1 in `types`, and `types`."""
+    letters, sigma-major over the permutations in lexicographic order: the
+    rows of sigma and of nu = tau^-1 as index arrays, the position of the
+    cycle type of sigma tau^-1 in `types` (looked up by the Lehmer rank of
+    the row of sigma nu), and `types`."""
     elements = perms.all_perms(p)
-    types = tuple(sorted({perms.cycle_type(s) for s in elements}, reverse=True))
+    cycle_types = [perms.cycle_type(s) for s in elements]
+    types = tuple(sorted(set(cycle_types), reverse=True))
     position = {ct: i for i, ct in enumerate(types)}
-    pairs = list(itertools.product(elements, elements))
-    sigma = np.array([s for s, _ in pairs], dtype=np.intp).reshape(len(pairs), p)
-    nu = np.array([v for _, v in pairs], dtype=np.intp).reshape(len(pairs), p)
-    ids = np.array([position[perms.cycle_type(perms.compose(s, v))] for s, v in pairs],
-                   dtype=np.int64)
-    return sigma, nu, ids, types
+    type_of_rank = np.array([position[ct] for ct in cycle_types], dtype=np.int64)
+    rows = np.array(elements, dtype=np.intp)
+    sigma = np.repeat(rows, len(rows), axis=0)
+    nu = np.tile(rows, (len(rows), 1))
+    product = np.take_along_axis(sigma, nu, axis=1)
+    rank = np.zeros(len(product), dtype=np.intp)
+    for i in range(p - 1):
+        smaller = (product[:, i + 1:] < product[:, i, None]).sum(axis=1)
+        rank += smaller * math.factorial(p - 1 - i)
+    return sigma, nu, type_of_rank[rank], types
 
 
 @lru_cache(maxsize=None)
-def _pairing_table(strings, max_occurrence):
+def _pairing_table(strings):
     """The Weingarten expansion of the open strings, grouped: returns
     (degrees, table) with table[cts] the (closed, M, count) rows of the
     pairings whose per-generator cycle types are cts.
@@ -160,15 +168,17 @@ def _pairing_table(strings, max_occurrence):
     every path to its terminal, together with the least node of each
     cycle.  The rows are keyed by (cycle types, closed, M) and counted.
     """
-    degrees, pairings, nxt, first = _string_layout(strings, max_occurrence)
+    degrees, pairings, nxt, first = _string_layout(strings)
     N, m = len(nxt), len(strings)
     width = N + m
     factors = []     # per generator: (first column, option rows, cycle-type code, place)
     column, place, ct_place, types = 0, 1, 1, []
     for p in degrees:
         sigma, nu, ids, cts = _pairing_options(p)
-        options = np.concatenate([nxt[column + p:column + 2 * p][sigma],
-                                  nxt[column:column + p][nu]], axis=1)
+        # filled half by half: one (p!)^2 x p temporary at a time, not two
+        options = np.empty((len(ids), 2 * p), dtype=np.intp)
+        options[:, :p] = nxt[column + p:column + 2 * p][sigma]
+        options[:, p:] = nxt[column:column + p][nu]
         factors.append((column, options, ids * ct_place, place))
         column, place, ct_place = column + 2 * p, place * len(ids), ct_place * len(cts)
         types.append(cts)
@@ -263,7 +273,7 @@ def _check_dimension(degrees, n):
             f"need n >= {max(degrees)} for the exact Weingarten value at n={n}")
 
 
-def exact_word_moment(monomial, n=None, max_occurrence=OCCURRENCE_CAP, explain=False):
+def exact_word_moment(monomial, n=None):
     """E over Haar-independent unitaries of the product of trace factors.
 
     With integer n the value is an exact Fraction (requires n >= the
@@ -275,36 +285,34 @@ def exact_word_moment(monomial, n=None, max_occurrence=OCCURRENCE_CAP, explain=F
     if not isinstance(monomial, TraceMonomial):
         monomial = TraceMonomial.of(*monomial)
     if not monomial.is_balanced():
-        zero = Fraction(0) if n is not None else RationalFunction(0)
-        return (zero, "phase-invariance") if explain else zero
-    degrees, table = _pairing_table(tuple(w.letters for w in monomial.factors),
-                                    max_occurrence)
+        return Fraction(0) if n is not None else RationalFunction(0)
+    degrees, table = _pairing_table(tuple(w.letters for w in monomial.factors))
     _check_dimension(degrees, n)
     polys = _loop_polynomials(table, lambda M: (0,) * perms.num_cycles(M) + (1,))
-    total = _integrate(degrees, polys, n)
-    return (total, None) if explain else total
+    return _integrate(degrees, polys, n)
 
 
-def expect_stable_character(lam, mu, w, n=None, max_occurrence=OCCURRENCE_CAP):
+def expect_stable_character(lam, mu, w, n=None):
     """E_n of the stable character s_{lambda,mu} of the word map w.
 
     For phi in Aut(F_r), phi(U_1..U_r) is again a Haar tuple, so w and
     phi(w) have the same law and the same expectation, at every n and as
     rational functions; a character is also conjugation invariant.  So
     the integrand is the Whitehead-minimal word of w (`whitehead_minimal`,
-    cached by letters), and the occurrence cap and the n >= occurrences
-    guard apply to that word.
+    cached by letters).  The size limits of `_string_layout`
+    (OCCURRENCE_CAP per generator, PAIRING_CAP per table) and the
+    n >= occurrences guard apply to that word.
     """
-    return _expect_raw(lam, mu, whitehead_minimal(w), n=n, max_occurrence=max_occurrence)
+    return _expect_raw(lam, mu, whitehead_minimal(w), n=n)
 
 
-def _expect_raw(lam, mu, w, n=None, max_occurrence=OCCURRENCE_CAP):
+def _expect_raw(lam, mu, w, n=None):
     """`expect_stable_character` on w exactly as given.  Its copies are
-    laid out letter for letter, so the occurrence cap and the n guard see
-    k' times the occurrences of w, even where w is not cyclically reduced
-    and its powers would cancel."""
+    laid out letter for letter, so OCCURRENCE_CAP, PAIRING_CAP and the n
+    guard see k' times the occurrences of w, even where w is not
+    cyclically reduced and its powers would cancel."""
     lam, mu = Partition(tuple(lam)), Partition(tuple(mu))
-    blocks = _character_blocks(w.letters, lam.parts, mu.parts, max_occurrence)
+    blocks = _character_blocks(w.letters, lam.parts, mu.parts)
     total = Fraction(0) if n is not None else RationalFunction(0)
     for degrees, polys, scale in blocks:
         _check_dimension(degrees, n)
@@ -321,7 +329,7 @@ def _glued_loops(weights, M):
 
 
 @lru_cache(maxsize=None)
-def _character_blocks(letters, lam_parts, mu_parts, max_occurrence):
+def _character_blocks(letters, lam_parts, mu_parts):
     """s_{lambda,mu}(w) as (degrees, polynomials, scale) blocks for
     `_integrate`, one per size (k', l') of its mixed-character expansion.
 
@@ -346,8 +354,7 @@ def _character_blocks(letters, lam_parts, mu_parts, max_occurrence):
     for (k, ell), labels in sorted(by_size.items(), reverse=True):
         if not TraceMonomial((w,) * k + (w_inv,) * ell).is_balanced():
             continue
-        degrees, table = _pairing_table((letters,) * k + (w_inv.letters,) * ell,
-                                        max_occurrence)
+        degrees, table = _pairing_table((letters,) * k + (w_inv.letters,) * ell)
         weights = []
         for g1 in perms.all_perms(k):
             for g2 in perms.all_perms(ell):
@@ -443,13 +450,12 @@ def _pole_cleared_polynomial(expectation, g, D):
     return quotient.coeffs + (Fraction(0),) * (D - quotient.degree)
 
 
-def interpolate_phi(lam, mu, w, n_start=None, held_out=HELD_OUT_POINTS,
-                    max_occurrence=OCCURRENCE_CAP):
+def interpolate_phi(lam, mu, w, n_start=None):
     """The polynomial g_{Kq}(x) * E(1/x) of degree at most D, exactly.
 
     It comes from the symbolic expectation by one exact division.  The
     second route is the fixed-n Fraction sum: E_n at the D + 1 sample
-    points and at `held_out` further consecutive n must satisfy
+    points and at HELD_OUT_POINTS further consecutive n must satisfy
     P(1/n) = g(1/n) E_n exactly; any nonzero residual raises
     StructureViolationError.  The held-out residuals go into the report.
 
@@ -473,22 +479,21 @@ def interpolate_phi(lam, mu, w, n_start=None, held_out=HELD_OUT_POINTS,
     if n_start < 1:
         raise ValidationError(f"need n_start >= 1, got {n_start}")
     g = g_polynomial(L)
-    expectation = expect_stable_character(lam, mu, w, n=None,
-                                          max_occurrence=max_occurrence)
+    expectation = expect_stable_character(lam, mu, w, n=None)
     coeffs = _pole_cleared_polynomial(expectation, g, D)
     poly = Polynomial(coeffs)
 
     def checked(ns):
         points, residuals = [], []
         for n in ns:
-            value = expect_stable_character(lam, mu, w, n=n, max_occurrence=max_occurrence)
+            value = expect_stable_character(lam, mu, w, n=n)
             x = Fraction(1, n)
             points.append((n, value))
             residuals.append(poly(x) - g(x) * value)
         return points, residuals
 
     samples, sample_residuals = checked(range(n_start, n_start + D + 1))
-    held_samples, residuals = checked(range(n_start + D + 1, n_start + D + 1 + held_out))
+    held_samples, residuals = checked(range(n_start + D + 1, n_start + D + 1 + HELD_OUT_POINTS))
     if any(r != 0 for r in sample_residuals + residuals):
         raise StructureViolationError(
             "fixed-n residuals are nonzero; the exact expectation does not "

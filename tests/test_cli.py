@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -42,8 +43,9 @@ def test_expect_symbolic(capsys):
     (["--word", "aaabABAA", "--lambda", "1", "--n", "2"], "1/2"),
 ], ids=["conjugate-of-commutator", "commutator-a-b-squared", "n-below-raw-occurrences"])
 def test_expect_integrates_the_whitehead_minimal_word(capsys, argv, value):
-    # the first exceeds the occurrence cap as typed and the last the
-    # n >= occurrences guard; their minimal words are within both
+    # as typed, the first has a table of (6!)^2 (2!)^2 pairings and the
+    # last fails the n >= occurrences guard; their minimal words are the
+    # commutator
     code, out, _ = run_cli(capsys, "expect", *argv)
     assert code == 0
     blob = json.loads(out)
@@ -75,6 +77,30 @@ def test_pairing_cap_refuses_before_enumerating(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == ""
     assert str(math.factorial(4) ** 8) in err and str(wordint.PAIRING_CAP) in err
+
+
+def test_expect_commutator_of_a_fifth_power(capsys):
+    # [a^5, b]: a occurs 5 times, and E tr = min(5, n)/n
+    code, out, _ = run_cli(capsys, "expect", "--word", "aaaaabAAAAAB", "--lambda", "1",
+                           "--n", "5")
+    assert code == 0 and json.loads(out)["value"] == "1"
+
+
+def test_occurrence_cap_refuses_before_allocating(capsys):
+    # [a^7, b]: a occurs 7 times.  The option table would hold (7!)^2
+    # rows of 14 indices, 2.8 GB, and the 7! permutations alone half a
+    # megabyte; the refusal comes before either (about 7 KB traced)
+    run_cli(capsys, "expect", "--word", "abAB", "--lambda", "1", "--n", "3")   # warm-up
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "expect", "--word", "aaaaaaabAAAAAAAB",
+                                 "--lambda", "1", "--symbolic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert "occurs 7 times" in err and f"cap is {wordint.OCCURRENCE_CAP}" in err
+    assert peak < 1 << 16
 
 
 def test_parser_reuse_matches_fresh_processes():

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -29,8 +30,35 @@ COMM = fg.parse_word("abAB")
 # The second route: one Weingarten expansion per trace monomial, closed
 # traces and a Python loop over the pairings, and characters expanded into
 # power sums.  `wordint` enumerated this way before its open-string tables.
+# The loop stays small only up to ORACLE_CAP occurrences per generator
+# ((3!)^2 = 36 pairings each), and refuses more.
+ORACLE_CAP = 3
 
-def oracle_term_table(monomial, max_occurrence=wi.OCCURRENCE_CAP):
+
+def within_oracle_cap(lam, mu, w):
+    """Whether the engine's tables for s_{lambda,mu}(w), w as given, stay
+    within ORACLE_CAP occurrences per generator.  The largest table holds
+    |lambda| copies of w and |mu| of w^-1; the smaller ones are balanced
+    exactly when it is, and the engine skips unbalanced ones."""
+    m = wi.TraceMonomial((w,) * sum(lam) + (w.inverse(),) * sum(mu))
+    plus, _ = m.occurrences()
+    return not m.is_balanced() or max(plus.values(), default=0) <= ORACLE_CAP
+
+
+def oracle_pairing_options(p):
+    """`wordint._pairing_options` as a Python loop over the pairs."""
+    elements = perms.all_perms(p)
+    types = tuple(sorted({perms.cycle_type(s) for s in elements}, reverse=True))
+    position = {ct: i for i, ct in enumerate(types)}
+    pairs = list(itertools.product(elements, elements))
+    sigma = np.array([s for s, _ in pairs], dtype=np.intp).reshape(len(pairs), p)
+    nu = np.array([v for _, v in pairs], dtype=np.intp).reshape(len(pairs), p)
+    ids = np.array([position[perms.cycle_type(perms.compose(s, v))] for s, v in pairs],
+                   dtype=np.int64)
+    return sigma, nu, ids, types
+
+
+def oracle_term_table(monomial):
     """{(per-generator cycle types, loop count): count} and the degrees.
 
     Within a factor of length q the cyclic index variables are v_0..v_q-1;
@@ -58,7 +86,7 @@ def oracle_term_table(monomial, max_occurrence=wi.OCCURRENCE_CAP):
     for g in gens:
         if len(plus.get(g, [])) != len(minus.get(g, [])):
             raise ValidationError("unbalanced monomial has no Weingarten expansion")
-        if len(plus.get(g, [])) > max_occurrence:
+        if len(plus.get(g, [])) > ORACLE_CAP:
             raise UnsupportedSizeError(f"generator x{g} occurs {len(plus[g])} times")
     degrees = [len(plus[g]) for g in gens]
     choices = []
@@ -81,13 +109,13 @@ def oracle_term_table(monomial, max_occurrence=wi.OCCURRENCE_CAP):
     return table, tuple(degrees)
 
 
-def oracle_moment(monomial, n=None, max_occurrence=wi.OCCURRENCE_CAP):
+def oracle_moment(monomial, n=None):
     """The oracle table summed entry by entry at integer n; symbolically,
     per cycle types, sum count * n^loops times each Wg_L(ct) as its own
     rational function."""
     if not monomial.is_balanced():
         return Fraction(0) if n is not None else RationalFunction(0)
-    table, degrees = oracle_term_table(monomial, max_occurrence)
+    table, degrees = oracle_term_table(monomial)
     if n is not None:
         nf = Fraction(n)
         return sum((nf**loops * count * math.prod(wg(L, ct)(nf) for L, ct in zip(degrees, cts))
@@ -106,7 +134,7 @@ def oracle_moment(monomial, n=None, max_occurrence=wi.OCCURRENCE_CAP):
     return total
 
 
-def oracle_expect(lam, mu, w, n=None, max_occurrence=wi.OCCURRENCE_CAP):
+def oracle_expect(lam, mu, w, n=None):
     """s_{lambda,mu}(w) expanded by Koike into s_lambda'(w) s_mu'(w^-1),
     each Schur function into power sums p_rho (products of traces of
     powers of w), and every trace monomial integrated on its own."""
@@ -121,7 +149,7 @@ def oracle_expect(lam, mu, w, n=None, max_occurrence=wi.OCCURRENCE_CAP):
         for rho1, c1 in powersum_terms(lam_p):
             for rho2, c2 in powersum_terms(mu_p):
                 factors = [w**p for p in rho1.parts] + [w.inverse()**p for p in rho2.parts]
-                moment = oracle_moment(wi.TraceMonomial(tuple(factors)), n, max_occurrence)
+                moment = oracle_moment(wi.TraceMonomial(tuple(factors)), n)
                 total = total + moment * (alpha * c1 * c2)
     return total
 
@@ -130,8 +158,7 @@ def open_string_table(monomial):
     """The open-string table of the factors glued into their own traces
     (gamma = id), keyed as the oracle table: (cycle types, closed +
     cycles(M)) -> count."""
-    degrees, table = wi._pairing_table(tuple(w.letters for w in monomial.factors),
-                                       wi.OCCURRENCE_CAP)
+    degrees, table = wi._pairing_table(tuple(w.letters for w in monomial.factors))
     out = collections.Counter()
     for cts, rows in table.items():
         for closed, M, count in rows:
@@ -143,11 +170,9 @@ def as_constant(rf):
     return rf.constant_value()
 
 
-def test_unbalanced_monomial_is_zero_with_annotation():
-    value, note = wi.exact_word_moment(wi.TraceMonomial.of(A), explain=True)
-    assert value.is_zero() and note == "phase-invariance"
-    value, note = wi.exact_word_moment(wi.TraceMonomial.of(A), n=7, explain=True)
-    assert value == 0 and note == "phase-invariance"
+def test_unbalanced_monomial_is_zero():
+    assert wi.exact_word_moment(wi.TraceMonomial.of(A)).is_zero()
+    assert wi.exact_word_moment(wi.TraceMonomial.of(A), n=7) == 0
 
 
 def test_single_trace_pair_is_one():
@@ -173,9 +198,28 @@ def test_power_trace_variance_matches_min_oracle():
 
 
 def test_occurrence_cap():
-    m = wi.TraceMonomial.of(A**5, (A**5, True))
+    m = wi.TraceMonomial.of(A**7, (A**7, True))
     with pytest.raises(UnsupportedSizeError):
         wi.exact_word_moment(m)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_pairing_options_match_python_loop(p):
+    sigma, nu, ids, types = wi._pairing_options(p)
+    expected = oracle_pairing_options(p)
+    for got, want in zip((sigma, nu, ids), expected):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert types == expected[3]
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_commutator_with_a_power_is_min_over_n(k):
+    # E tr(a^k b a^-k b^-1) = E |tr a^k|^2 / n = min(k, n)/n; symbolically
+    # the engine sees the regime n >= k, where it is k/n
+    m = wi.TraceMonomial.of(A**k * B * (A**k).inverse() * B.inverse())
+    assert wi.exact_word_moment(m) == RationalFunction(Polynomial((k,)), Polynomial.x())
+    for n in (k, 2 * k):
+        assert wi.exact_word_moment(m, n=n) == Fraction(min(k, n), n)
 
 
 def test_too_many_factors_for_the_pairing_key():
@@ -231,11 +275,11 @@ def test_k4_table_memory_is_bounded_by_the_chunk():
     # node array would take 53 MB; in chunks of CHUNK_ENTRIES node entries
     # the peak stays under eight int64 arrays of one chunk (4 MiB)
     strings = (COMM.letters,) * 4
-    wi._pairing_table(((1, -1),), wi.OCCURRENCE_CAP)   # numpy's lazy set-up, untraced
+    wi._pairing_table(((1, -1),))   # numpy's lazy set-up, untraced
     wi._pairing_table.cache_clear()
     tracemalloc.start()
     try:
-        _, table = wi._pairing_table(strings, wi.OCCURRENCE_CAP)
+        _, table = wi._pairing_table(strings)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -270,12 +314,13 @@ def _mixed_labels(max_boxes):
             for mu in partitions_of(total - k)]
 
 
-@pytest.mark.parametrize("lam,mu", _mixed_labels(3),
+@pytest.mark.parametrize("lam,mu", _mixed_labels(4),
                          ids=lambda p: ",".join(map(str, p.parts)) or "0")
 def test_commutator_mixed_character_is_inverse_dimension(lam, mu):
     # Frobenius/Mednykh: the commutator integrates every irreducible
     # character of U(n) to 1/dimension; the Weyl dimension is computed
-    # without the term table
+    # without the term table.  n = 4 >= l(lambda) + l(mu) for every label
+    # with K <= 4, so each is irreducible at both n
     for n in (4, 5):
         expected = Fraction(1, mixed_dimension(lam, mu, n))
         assert wi.expect_stable_character(lam, mu, COMM, n=n) == expected
@@ -285,21 +330,16 @@ def test_commutator_mixed_character_is_inverse_dimension(lam, mu):
 @given(st.text(alphabet="abAB", max_size=6), st.sampled_from(_mixed_labels(3)),
        st.integers(3, 6))
 def test_stable_character_matches_oracle_route(text, labels, n):
-    # K <= 3 and at most 3 occurrences per generator (36^2 pairings per
-    # oracle monomial): one table per (k', l') against one per power-sum
-    # monomial, both on the Whitehead-minimal word, at n and symbolically
+    # K <= 3 and within the oracle's cap: one table per (k', l') against
+    # one per power-sum monomial, both on the Whitehead-minimal word, at n
+    # and symbolically
     lam, mu = labels
     w = fg.parse_word(text)
     minimal = fg.whitehead_minimal(w)
-    try:
-        expected = (oracle_expect(lam, mu, minimal, n=n, max_occurrence=3),
-                    oracle_expect(lam, mu, minimal, max_occurrence=3))
-    except UnsupportedSizeError:
-        with pytest.raises(UnsupportedSizeError):
-            wi.expect_stable_character(lam, mu, w, n=n, max_occurrence=3)
+    if not within_oracle_cap(lam, mu, minimal):
         return
-    assert wi.expect_stable_character(lam, mu, w, n=n, max_occurrence=3) == expected[0]
-    assert wi.expect_stable_character(lam, mu, w, max_occurrence=3) == expected[1]
+    assert wi.expect_stable_character(lam, mu, w, n=n) == oracle_expect(lam, mu, minimal, n=n)
+    assert wi.expect_stable_character(lam, mu, w) == oracle_expect(lam, mu, minimal)
 
 
 @pytest.mark.parametrize("word", ["ab", "aab"])
@@ -342,10 +382,9 @@ def test_reduced_path_matches_raw_engine(word):
     w = fg.parse_word(word)
     checked = 0
     for lam, mu in _mixed_labels(2):
-        try:
-            raw = wi._expect_raw(lam, mu, w, n=5, max_occurrence=3)
-        except UnsupportedSizeError:
+        if not within_oracle_cap(lam, mu, w):
             continue
+        raw = wi._expect_raw(lam, mu, w, n=5)
         assert raw == wi.expect_stable_character(lam, mu, w, n=5)
         checked += 1
     assert checked
@@ -375,10 +414,8 @@ def test_nielsen_moves_preserve_expectation(base, moves, labels):
     lam, mu = labels
     w = fg.parse_word(base)
     moved = nielsen_image(w, moves)
-    try:
-        raw = wi._expect_raw(lam, mu, moved, n=5, max_occurrence=3)
-    except UnsupportedSizeError:
-        assume(False)
+    assume(within_oracle_cap(lam, mu, moved))
+    raw = wi._expect_raw(lam, mu, moved, n=5)
     assert raw == wi.expect_stable_character(lam, mu, moved, n=5)
     assert raw == wi.expect_stable_character(lam, mu, w, n=5)
 
@@ -401,18 +438,19 @@ def _power_monomial(rho, inverted):
 
 def test_diaconis_shahshahani_power_moments():
     # E prod_j tr(U^j)^(a_j) conj(tr(U^j))^(b_j) = [a = b] prod_j j^(a_j) a_j!
-    # for n >= sum_j j a_j (Diaconis-Shahshahani 1994)
+    # for n >= sum_j j a_j (Diaconis-Shahshahani 1994); rho = sigma = (k)
+    # with k = 5, 6 gives E |tr U^k|^2 = k
     rhos = [rho for k in range(5) for rho in partitions_of(k)]
-    for rho in rhos:
-        for sigma in rhos:
-            m = wi.TraceMonomial.of(*_power_monomial(rho, False),
-                                    *_power_monomial(sigma, True))
-            expected = 0
-            if rho == sigma:
-                expected = math.prod(j**a * math.factorial(a)
-                                     for j, a in collections.Counter(rho.parts).items())
-            for n in range(max(rho.size, sigma.size, 1), max(rho.size, sigma.size) + 3):
-                assert wi.exact_word_moment(m, n=n) == expected
+    pairs = [(rho, sigma) for rho in rhos for sigma in rhos]
+    pairs += [(Partition((k,)), Partition((k,))) for k in (5, 6)]
+    for rho, sigma in pairs:
+        m = wi.TraceMonomial.of(*_power_monomial(rho, False), *_power_monomial(sigma, True))
+        expected = 0
+        if rho == sigma:
+            expected = math.prod(j**a * math.factorial(a)
+                                 for j, a in collections.Counter(rho.parts).items())
+        for n in range(max(rho.size, sigma.size, 1), max(rho.size, sigma.size) + 3):
+            assert wi.exact_word_moment(m, n=n) == expected
 
 
 def test_weight_mismatch_gives_zero():
@@ -484,9 +522,8 @@ def test_proper_power_relaxes_requirement():
     assert verdict["required_order"] == 0
 
 
-def test_report_json_round():
-    rep = wi.interpolate_phi((1,), (), COMM, held_out=2)
-    blob = rep.to_json()
+def test_report_json_round(commutator_report):
+    blob = commutator_report.to_json()
     assert blob["word"] == "abAB"
     assert blob["degree_cap"] == 29
     assert all(r == "0" for r in blob["residuals"])
@@ -513,8 +550,8 @@ def test_uncleared_pole_raises_structure_violation(monkeypatch, capsys):
     # clear; fixed-n values stay untouched
     original = wi.expect_stable_character
 
-    def patched(lam, mu, w, n=None, max_occurrence=wi.OCCURRENCE_CAP):
-        value = original(lam, mu, w, n=n, max_occurrence=max_occurrence)
+    def patched(lam, mu, w, n=None):
+        value = original(lam, mu, w, n=n)
         if n is not None:
             return value
         L = (sum(lam) + sum(mu)) * len(w)
@@ -534,8 +571,8 @@ def test_wrong_sample_value_raises_structure_violation(monkeypatch):
     original = wi.expect_stable_character
     bad_n = 6
 
-    def patched(lam, mu, w, n=None, max_occurrence=wi.OCCURRENCE_CAP):
-        value = original(lam, mu, w, n=n, max_occurrence=max_occurrence)
+    def patched(lam, mu, w, n=None):
+        value = original(lam, mu, w, n=n)
         return value + 1 if n == bad_n else value
 
     monkeypatch.setattr(wi, "expect_stable_character", patched)
