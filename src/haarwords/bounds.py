@@ -19,6 +19,7 @@ from .ratfunc import Polynomial
 G_L_CAP = 64
 INV_G_CALIBRATED_CONSTANT = 8.0  # fitted, not asserted
 GRID_SLACK = 1e-9
+G_CHECK_GRID = 100  # evenly spaced points of [0, 1/(2 L^2)] in `g_derivative_bound_check`
 
 
 @lru_cache(maxsize=None)
@@ -66,15 +67,13 @@ def _inv_g_derivatives(g_derivs):
     return h
 
 
-def g_derivative_bound_check(L, i, grid=100):
-    """Check 1/2 <= g_L <= 1 and |g_L^{(i)}| <= (3 i L^{3/2})^i on a grid in
-    [0, 1/(2 L^2)]; also report how the 1/g_L derivative compares with
-    2 i! (C sqrt(i) L^{3/2})^i for the calibrated C."""
+def g_derivative_bound_check(L, i):
+    """Check 1/2 <= g_L <= 1 and |g_L^{(i)}| <= (3 i L^{3/2})^i on
+    G_CHECK_GRID points of [0, 1/(2 L^2)]; also report how the 1/g_L
+    derivative compares with 2 i! (C sqrt(i) L^{3/2})^i for the calibrated C."""
     if L < 1 or i < 0:
         raise ValidationError("need L >= 1 and i >= 0")
-    ts = np.linspace(0.0, 1.0 / (2 * L * L), grid if isinstance(grid, int) else len(grid))
-    if not isinstance(grid, int):
-        ts = np.asarray(grid, dtype=float)
+    ts = np.linspace(0.0, 1.0 / (2 * L * L), G_CHECK_GRID)
     derivs = _g_derivatives_on_grid(L, i, ts)
     g_vals = derivs[0]
     g_min, g_max = float(g_vals.min()), float(g_vals.max())
@@ -122,9 +121,9 @@ def markov_factor(D, k):
     return Fraction(num, den)
 
 
-def markov_check(coeffs, k, interval=(-1.0, 1.0), grid_size=None):
-    """sup |P^{(k)}| against the Markov-brothers bound on [a, b], on a
-    Chebyshev-extrema grid; the ratio must stay below 1 + 1e-9."""
+def markov_check(coeffs, k, interval=(-1.0, 1.0)):
+    """sup |P^{(k)}| against the Markov-brothers bound on [a, b], on the
+    64 D + 1 Chebyshev extrema; the ratio must stay below 1 + 1e-9."""
     a, b = interval
     if b <= a:
         raise ValidationError("empty interval")
@@ -134,8 +133,7 @@ def markov_check(coeffs, k, interval=(-1.0, 1.0), grid_size=None):
         D -= 1
     if k < 1 or k > D:
         raise ValidationError("need degree >= k >= 1")
-    grid_size = grid_size or 64 * max(D, 1)
-    xs = chebyshev_grid(a, b, grid_size)
+    xs = chebyshev_grid(a, b, 64 * D)
     base = _float_poly(pol[:D + 1])
     sup_p = float(np.abs(np.polyval(base, xs)).max())
     deriv = base
@@ -233,12 +231,9 @@ class BumpProfile:
         self.normalization_head = _NORMALIZATION_HEAD
         self.fitted_m = None
 
-    def _raw_f(self, x, p=1):
-        return (1.0 / (x * np.log(2.0 + x) ** (1.0 + self.epsilon))) ** p
-
     def _raw_sum(self):
         js = np.arange(1, _NORMALIZATION_HEAD + 1, dtype=float)
-        head = float(self._raw_f(js).sum())
+        head = float((1.0 / (js * np.log(2.0 + js) ** (1.0 + self.epsilon))).sum())
         tail = self._tail_raw(_NORMALIZATION_HEAD, 1)
         return head, tail
 

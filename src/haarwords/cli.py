@@ -60,6 +60,8 @@ def _parse_poly(text):
         if "*" in chunk:
             coeff_text, word_text = chunk.split("*", 1)
             coeff = float(coeff_text)
+            if not math.isfinite(coeff):
+                raise ValidationError(f"term {chunk!r} has a non-finite coefficient")
         else:
             coeff, word_text = 1.0, chunk
         w = Word(()) if word_text == "e" else parse_word(word_text)
@@ -143,6 +145,8 @@ def _cmd_strongconv(args):
 
     terms = _parse_poly(args.poly)
     reference = args.reference
+    if reference is not None and not math.isfinite(reference):
+        raise ValidationError(f"--reference must be finite, got {reference}")
     if args.n is None and not args.n_list:
         raise ValidationError("strongconv needs --n or --n-list")
     n_values = ([int(x) for x in args.n_list.split(",")] if args.n_list else [args.n])
@@ -215,6 +219,8 @@ def _cmd_dims(args):
         raise ValidationError(f"--n must be >= 1, got {args.n}")
     if args.l1_cap < 0:
         raise ValidationError(f"--l1-cap must be >= 0, got {args.l1_cap}")
+    if args.A is not None and not math.isfinite(args.A):
+        raise ValidationError(f"--A must be finite, got {args.A}")
     rows = []
     worst_margin = math.inf
     classifier_ok = True

@@ -41,7 +41,7 @@ class Word:
 
     __slots__ = ("letters", "rank", "_hash")
 
-    def __init__(self, letters=(), rank=None):
+    def __init__(self, letters, rank=None):
         letters = _reduce_letters(letters)
         used = max((abs(x) for x in letters), default=0)
         for x in letters:
@@ -54,14 +54,6 @@ class Word:
         self.letters = letters
         self.rank = rank
         self._hash = None
-
-    @classmethod
-    def identity(cls, rank=0):
-        return cls((), rank)
-
-    @classmethod
-    def generator(cls, i, rank=None):
-        return cls((i,), rank)
 
     def __len__(self):
         return len(self.letters)

@@ -22,6 +22,8 @@ from .symgroup import dual_jacobi_trudi
 DENSE_PROJECTOR_CAP = 10_000
 APPLY_VECTOR_CAP = 10_000_000
 DIM_LOWER_BOUND_CONSTANT = math.log(2) / 8
+STRONGCONV_TOL = 5e-2            # Ritz tolerance of each `strongconv` norm estimate
+CONCENTRATION_FLAG_SCALES = 10.0  # a norm this many Lipschitz scales off its mean is flagged
 
 
 def substream(seed, *path):
@@ -86,7 +88,7 @@ def _check_draws(u, group):
         raise ValidationError("matrix fails the SU determinant bound")
 
 
-def _haar_chunks(samples, r, n, rng, group="U"):
+def _haar_chunks(samples, r, n, rng, group):
     """`samples` Haar r-tuples as `sample_tuple` batches of at most
     HAAR_CHUNK tuples."""
     rng = _as_rng(rng)
@@ -253,39 +255,33 @@ def weyl_character_eval(lam, mu, eig):
 
 
 class ImplicitTensorOperator:
-    """Linear operator on the mixed tensor power, given by apply/adjoint
-    callables on flat complex vectors of length n^(k+l)."""
+    """Linear operator given by apply/adjoint callables on flat complex
+    vectors of length `dim`."""
 
-    def __init__(self, n, k, l, apply_fn, adjoint_fn):
-        self.n = n
-        self.k = k
-        self.l = l
+    def __init__(self, dim, apply_fn, adjoint_fn):
+        self.dim = dim
         self._apply = apply_fn
         self._adjoint = adjoint_fn
-
-    @property
-    def dim(self):
-        return self.n ** (self.k + self.l)
 
     def apply(self, vec):
         return self._apply(vec)
 
     def adjoint(self):
-        return ImplicitTensorOperator(self.n, self.k, self.l, self._adjoint, self._apply)
+        return ImplicitTensorOperator(self.dim, self._adjoint, self._apply)
 
     @classmethod
-    def identity(cls, n, k, l):
-        return cls(n, k, l, lambda v: v.copy(), lambda v: v.copy())
+    def identity(cls, dim):
+        return cls(dim, lambda v: v.copy(), lambda v: v.copy())
 
     @classmethod
-    def zero(cls, n, k, l):
-        return cls(n, k, l, lambda v: np.zeros_like(v), lambda v: np.zeros_like(v))
+    def zero(cls, dim):
+        return cls(dim, lambda v: np.zeros_like(v), lambda v: np.zeros_like(v))
 
     @classmethod
-    def from_matrix(cls, mat, n, k, l):
+    def from_matrix(cls, mat):
         mat = np.asarray(mat, dtype=complex)
         mat_h = mat.conj().T
-        op = cls(n, k, l, lambda v: mat @ v, lambda v: mat_h @ v)
+        op = cls(len(mat), lambda v: mat @ v, lambda v: mat_h @ v)
         op.matrix = mat
         return op
 
@@ -321,7 +317,7 @@ def tensor_representation(u, k, l):
         return apply
 
     # (u t)_j = sum_i t_i u_ji, so a leg of u is a product with u.T
-    return ImplicitTensorOperator(n, k, l, legs(u.T, u.conj().T), legs(u.conj(), u))
+    return ImplicitTensorOperator(n ** (k + l), legs(u.T, u.conj().T), legs(u.conj(), u))
 
 
 def word_representation(w, unitaries, k, l):
@@ -353,9 +349,9 @@ def invariant_projector(k, l, n):
     sum_{s,t} v_s Wg(s t^-1) <v_t, x> adds each weight back on its support.
     """
     if k != l:
-        return ImplicitTensorOperator.zero(n, k, l)
+        return ImplicitTensorOperator.zero(n ** (k + l))
     if k == 0:
-        return ImplicitTensorOperator.identity(n, 0, 0)
+        return ImplicitTensorOperator.identity(1)
     if k > 4:
         raise UnsupportedSizeError("invariant projector supported for k <= 4")
     sigmas = perms.all_perms(k)
@@ -372,18 +368,18 @@ def invariant_projector(k, l, n):
             out[idx] += w
         return out
 
-    return ImplicitTensorOperator(n, k, k, apply_fn, apply_fn)
+    return ImplicitTensorOperator(n ** (2 * k), apply_fn, apply_fn)
 
 
-def q_projector(lam, mu, n, dense_cap=DENSE_PROJECTOR_CAP):
+def q_projector(lam, mu, n):
     """The mixed-irrep projector: dimension times the tensor action of the
     Weingarten-based group-algebra element, realized densely."""
     k, l = lam.size, mu.size
     if n < k + l:
         raise ValidationError(f"need n >= k+l = {k + l}")
     dim = n ** (k + l)
-    if dim > dense_cap:
-        raise UnsupportedSizeError(f"dense dimension {dim} exceeds cap {dense_cap}")
+    if dim > DENSE_PROJECTOR_CAP:
+        raise UnsupportedSizeError(f"dense dimension {dim} exceeds cap {DENSE_PROJECTOR_CAP}")
     z = weingarten.z_element(lam, mu)
     coeffs = z.eval_at(n)
     d_mixed = mixed_dimension(lam, mu, n)
@@ -399,7 +395,7 @@ def q_projector(lam, mu, n, dense_cap=DENSE_PROJECTOR_CAP):
         rows = sum(w * p for w, p in zip(weights_row, row_parts))
         cols = sum(w * p for w, p in zip(weights_row, col_parts))
         np.add.at(mat, (rows, cols), float(c) * d_mixed)
-    return ImplicitTensorOperator.from_matrix(mat, n, k, l)
+    return ImplicitTensorOperator.from_matrix(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -503,18 +499,17 @@ def mc_expect(lam, mu, w, n, samples, rng, group="U"):
     return _mc_result(np.concatenate(vals), n)
 
 
-def mc_trace_moment(factors, n, samples, rng, group="U"):
-    """Monte Carlo estimate of E prod_j tr(w_j(U)) for trace-monomial
-    factors given as (word, inverted) pairs."""
+def mc_trace_moment(factors, n, samples, rng):
+    """Monte Carlo estimate on U(n) of E prod_j tr(w_j(U)) for a trace
+    monomial given as its sequence of words w_j."""
     if samples < 2:
         raise ValidationError(f"a standard error needs at least 2 samples, got {samples}")
-    r = max((w.rank for w, _ in factors), default=1)
+    r = max((w.rank for w in factors), default=1)
     vals = []
-    for us in _haar_chunks(samples, max(r, 1), n, rng, group):
+    for us in _haar_chunks(samples, max(r, 1), n, rng, "U"):
         prod = np.ones(len(us[0]), dtype=complex)
-        for w, inverted in factors:
-            eff = w.inverse() if inverted else w
-            tr = np.trace(evaluate_word(eff, us), axis1=-2, axis2=-1)
+        for w in factors:
+            tr = np.trace(evaluate_word(w, us), axis1=-2, axis2=-1)
             prod = _unfused_product(prod, tr)
         vals.append(prod)
     return _mc_result(np.concatenate(vals), n)
@@ -566,11 +561,10 @@ def polynomial_operator(terms, unitaries, k, l):
             out += c.conjugate() * rep._adjoint(vec)
         return out - project(out) if project is not None else out
 
-    return ImplicitTensorOperator(n, k, l, apply_fn, adjoint_fn)
+    return ImplicitTensorOperator(n ** (k + l), apply_fn, adjoint_fn)
 
 
-def strong_convergence_experiment(r, n, k, l, terms, samples, seed,
-                                  reference=None, tol=5e-2, group="U"):
+def strong_convergence_experiment(r, n, k, l, terms, samples, seed, reference=None):
     """Sample Haar tuples, build the word-polynomial operator in the (k,l)
     tensor representation with invariants removed, and estimate its norm
     against a reduced-free-group reference value."""
@@ -597,11 +591,11 @@ def strong_convergence_experiment(r, n, k, l, terms, samples, seed,
             estimates.append(abs(sum(c for _, c in terms)))
             residuals.append(0.0)
             continue
-        us = sample_tuple(r, n, substream(seed, "sample", s), group=group)
+        us = sample_tuple(r, n, substream(seed, "sample", s))
         op = polynomial_operator(terms, us, k, l)
         # "restart" names the start-vector substream; renaming it would
         # change every seeded estimate
-        est = estimate_norm(op, tol=tol, rng=substream(seed, "restart", s))
+        est = estimate_norm(op, tol=STRONGCONV_TOL, rng=substream(seed, "restart", s))
         estimates.append(est.value)
         residuals.append(est.residual)
     mean_norm = float(np.mean(estimates))
@@ -613,7 +607,7 @@ def strong_convergence_experiment(r, n, k, l, terms, samples, seed,
         residuals=residuals)
 
 
-def concentration_probe(terms, k, l, n_list, trials, seed, tol_factor=10.0):
+def concentration_probe(terms, k, l, n_list, trials, seed):
     """Empirical spread of the operator norm across independent samples for
     each n, checked against the sub-Gaussian Lipschitz scale
     C(x) K / sqrt(n - 2) where C(x) = sum |coeff| |w|."""
@@ -632,7 +626,7 @@ def concentration_probe(terms, k, l, n_list, trials, seed, tol_factor=10.0):
         norms = np.array(norms)
         scale = c_x * big_k / math.sqrt(max(n - 2, 1))
         deviations = np.abs(norms - norms.mean())
-        flagged = float(np.mean(deviations > tol_factor * scale))
+        flagged = float(np.mean(deviations > CONCENTRATION_FLAG_SCALES * scale))
         rows.append({
             "n": n,
             "trials": trials,

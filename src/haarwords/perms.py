@@ -59,7 +59,7 @@ def transpositions(m):
     )
 
 
-def embed(p, m, offset=0):
+def embed(p, m, offset):
     """Embed a permutation of S_d into S_m acting on [offset, offset+d)."""
     d = len(p)
     if offset + d > m:

@@ -207,10 +207,6 @@ class RationalFunction:
         self.num = num
         self.den = den
 
-    @classmethod
-    def variable(cls):
-        return cls(Polynomial.x())
-
     def is_zero(self):
         return self.num.is_zero()
 

@@ -24,6 +24,8 @@ WALK_BUFFER_CAP = 50_000_000  # bytes of a walk: its int8 stack plus one step's 
 # detection; tracemalloc reads 75-170 bytes up to 1,000 steps
 WALK_STEP_BYTES = 160
 COMPRESSION_TOL = 1e-5  # Ritz residual 1e-10: the bound is solved to near float accuracy
+WILSON_Z = 1.96         # two-sided 95% normal quantile of the per-step Wilson intervals
+SLOPE_WINDOW = (10, 30)  # steps whose proper-power frequencies fit the decay slope
 
 
 class WalkMeasure:
@@ -294,7 +296,8 @@ def spectral_radius(measure, ball_radius=None):
 # Proper-power statistics
 
 
-def _wilson_interval(hits, n, z=1.96):
+def _wilson_interval(hits, n):
+    z = WILSON_Z
     if n == 0:
         return 0.0, 1.0
     phat = hits / n
@@ -419,24 +422,14 @@ class ProperPowerStats:
     rows: list                # per step: dict with n, hits, phat, ci
     slope: float
     slope_stderr: float
-    slope_window: tuple
     parity_locked: bool
     return_probabilities: list  # exact P(g_t = e), t <= RADIAL_EXACT_STEP_CAP; [] if not radial
 
-    def to_json(self):
-        return {
-            "steps": self.steps, "samples": self.samples, "seed": self.seed,
-            "rows": self.rows, "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-            "slope_window": list(self.slope_window),
-            "parity_locked": self.parity_locked,
-            "type": "float",
-        }
 
-
-def proper_power_stats(measure, steps, samples, seed, slope_window=(10, 30)):
+def proper_power_stats(measure, steps, samples, seed):
     """Empirical probability that the walk sits at a proper power, per
-    step, with Wilson intervals and a fitted exponential decay slope.
+    step, with Wilson intervals and an exponential decay slope fitted
+    over the steps of SLOPE_WINDOW.
 
     The guarantee this probes assumes a reasonable measure; the sampler
     also accepts symmetric generating measures without an identity atom.
@@ -462,21 +455,20 @@ def proper_power_stats(measure, steps, samples, seed, slope_window=(10, 30)):
                      "ci_low": lo, "ci_high": hi})
     parity_locked = not measure.contains_identity and all(
         len(w) % 2 == 1 for w in measure.support)
-    slope, stderr = _fit_slope(rows, samples, slope_window, parity_locked)
+    slope, stderr = _fit_slope(rows, samples, parity_locked)
     exact_returns = []
     if measure.is_radial_nearest_neighbor():
         exact_returns = _radial_return_probabilities(
             measure, min(steps, RADIAL_EXACT_STEP_CAP))
     return ProperPowerStats(steps=steps, samples=samples, seed=seed, rows=rows,
-                            slope=slope, slope_stderr=stderr,
-                            slope_window=slope_window, parity_locked=parity_locked,
+                            slope=slope, slope_stderr=stderr, parity_locked=parity_locked,
                             return_probabilities=exact_returns)
 
 
-def _fit_slope(rows, samples, window, parity_locked):
-    """Weighted least-squares slope of log phat over the window; when word
+def _fit_slope(rows, samples, parity_locked):
+    """Weighted least-squares slope of log phat over SLOPE_WINDOW; when word
     lengths have a locked parity only the dominant parity class is used."""
-    lo, hi = window
+    lo, hi = SLOPE_WINDOW
     usable = [r for r in rows if lo <= r["n"] <= hi and r["hits"] > 0]
     if parity_locked:
         even = [r for r in usable if r["n"] % 2 == 0]
@@ -509,7 +501,6 @@ def _compressed_norm(a_map, r, radius):
     from .montecarlo import ImplicitTensorOperator, estimate_norm
 
     ball = RankedBall(radius, r, cap=BALL_COMPRESSION_CAP)
-    size = len(ball)
     # Left multiplication by s is injective, so the dst entries of one block
     # are distinct and out[dst] += c v[src] is an exact scatter.
     blocks = []
@@ -532,7 +523,7 @@ def _compressed_norm(a_map, r, radius):
             out[src] += c.conjugate() * v[dst]
         return out
 
-    op = ImplicitTensorOperator(size, 1, 0, apply_fn, adjoint_fn)
+    op = ImplicitTensorOperator(len(ball), apply_fn, adjoint_fn)
     return estimate_norm(op, tol=COMPRESSION_TOL, rng=7).value
 
 
@@ -555,15 +546,16 @@ def haagerup_check(a_map, radius=None):
     return record
 
 
-def reduced_norm_lower_bound(terms, r, radius=None):
+def reduced_norm_lower_bound(terms, r):
     """Ball-compression estimate of the reduced free-group norm of a word
-    polynomial (a lower bound, improving as the radius grows)."""
+    polynomial: a lower bound, on the ball of the largest radius up to 11
+    (and at least q + 3) that holds at most half of BALL_COMPRESSION_CAP
+    words."""
     a_map = {}
     for w, c in terms:
         a_map[w] = a_map.get(w, 0) + complex(c)
     q = max(max((len(w) for w in a_map), default=1), 1)
-    if radius is None:
-        radius, limit = q + 3, max(q + 3, 11)
-        while radius < limit and ball_size(radius + 1, r) <= BALL_COMPRESSION_CAP // 2:
-            radius += 1
+    radius, limit = q + 3, max(q + 3, 11)
+    while radius < limit and ball_size(radius + 1, r) <= BALL_COMPRESSION_CAP // 2:
+        radius += 1
     return _compressed_norm(a_map, r, radius)

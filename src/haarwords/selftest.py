@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import montecarlo, perms, weingarten
 from .freegroup import parse_word
 from .symgroup import koike_expand, partitions_of
-from .wordint import TraceMonomial, exact_word_moment
+from .wordint import exact_word_moment
 
 # (factors as word strings, n); inverted factors are written as the
 # inverse word directly.  Occurrences per generator stay within the cap.
@@ -27,19 +27,19 @@ MONOMIAL_SUITE = (
     (("aabABA",), 4),
     (("ab", "ab", "BABA"), 5),
 )
+AGREEMENT_SE = 4.0   # standard errors a Monte Carlo mean may lie from the exact value
 
 
-def monomial_agreement(samples=20000, seed=20250808, k_se=4.0):
+def monomial_agreement(samples, seed):
     """Exact engine vs Monte Carlo on the fixed suite; returns one record
     per case with the exact value, the MC estimate, and the verdict."""
     rows = []
     for idx, (factor_texts, n) in enumerate(MONOMIAL_SUITE):
         factors = tuple(parse_word(t) for t in factor_texts)
-        monomial = TraceMonomial(factors)
-        exact = exact_word_moment(monomial, n=n)
+        exact = exact_word_moment(factors, n=n)
         rng = montecarlo.substream(seed, "monomial", idx)
-        mc = montecarlo.mc_trace_moment([(w, False) for w in factors], n, samples, rng)
-        ok = abs(mc.mean - float(exact)) <= k_se * max(mc.se, 1e-12)
+        mc = montecarlo.mc_trace_moment(factors, n, samples, rng)
+        ok = abs(mc.mean - float(exact)) <= AGREEMENT_SE * max(mc.se, 1e-12)
         rows.append({
             "factors": list(factor_texts),
             "n": n,
@@ -96,19 +96,19 @@ def gram_inversion(L_max=4):
     return rows
 
 
-def run_selftest(samples=20000, seed=20250808, emit=print):
-    """Run the whole suite, emitting one line per check; returns True when
+def run_selftest(samples, seed):
+    """Run the whole suite, printing one line per check; returns True when
     everything agreed."""
     all_ok = True
     for row in monomial_agreement(samples=samples, seed=seed):
         status = "PASS" if row["ok"] else "FAIL"
-        emit(f"[{status}] monomial {'*'.join('tr(' + (f or 'e') + ')' for f in row['factors'])} "
-             f"n={row['n']}: exact={row['exact']} mc={row['mc_mean_re']:.5f}+-{row['se']:.5f}")
+        print(f"[{status}] monomial {'*'.join('tr(' + (f or 'e') + ')' for f in row['factors'])} "
+              f"n={row['n']}: exact={row['exact']} mc={row['mc_mean_re']:.5f}+-{row['se']:.5f}")
         all_ok = all_ok and row["ok"]
-    emit(f"[PASS] mixed-character expansions ({len(koike_agreement())} cases), "
-         "identity checked exactly")
+    print(f"[PASS] mixed-character expansions ({len(koike_agreement())} cases), "
+          "identity checked exactly")
     for row in gram_inversion():
         status = "PASS" if row["ok"] else "FAIL"
-        emit(f"[{status}] Weingarten Gram inversion L={row['L']} n={row['n']}")
+        print(f"[{status}] Weingarten Gram inversion L={row['L']} n={row['n']}")
         all_ok = all_ok and row["ok"]
     return all_ok

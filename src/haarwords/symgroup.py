@@ -108,12 +108,13 @@ class Partition:
 EMPTY = Partition()
 
 
-def partitions_of(k, cap=PARTITION_ENUMERATION_CAP):
+def partitions_of(k):
     """All partitions of k in lexicographically decreasing order."""
     if k < 0:
         raise ValidationError("cannot partition a negative integer")
-    if k > cap:
-        raise ResourceCapError(f"partition enumeration of {k} exceeds cap {cap}")
+    if k > PARTITION_ENUMERATION_CAP:
+        raise ResourceCapError(
+            f"partition enumeration of {k} exceeds cap {PARTITION_ENUMERATION_CAP}")
 
     out = []
 

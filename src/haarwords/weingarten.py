@@ -172,10 +172,10 @@ class SymAlgebraElement:
 
     __slots__ = ("m", "coeffs")
 
-    def __init__(self, m, coeffs=None):
+    def __init__(self, m, coeffs):
         self.m = m
         clean = {}
-        for sigma, c in (coeffs or {}).items():
+        for sigma, c in coeffs.items():
             if len(sigma) != m:
                 raise ValidationError(f"permutation degree {len(sigma)} != {m}")
             if isinstance(c, (int, Fraction)):
@@ -240,11 +240,6 @@ def central_projection(lam, m=None, offset=0):
         if chi:
             out[perms.embed(sigma, m, offset)] = scale * chi
     return out
-
-
-def central_projection_element(lam):
-    """p_lambda as a SymAlgebraElement of S_{|lambda|}."""
-    return SymAlgebraElement(lam.size, central_projection(lam))
 
 
 def z_element(lam, mu):

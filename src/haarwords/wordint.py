@@ -39,48 +39,11 @@ CHUNK_ENTRIES = 1 << 16     # node entries per chunk: 512 KiB per int64 array
 HELD_OUT_POINTS = 5
 
 
-@dataclass(frozen=True)
-class TraceMonomial:
-    """A product of trace factors tr(w(u)) / tr(w(u)^-1), given as
-    (word, inverted) pairs.  Inversion is folded into the word itself when
-    the factor is created, so `factors` always holds plain words."""
-
-    factors: tuple
-
-    @classmethod
-    def of(cls, *factors):
-        normalized = []
-        for item in factors:
-            if isinstance(item, Word):
-                word, inverted = item, False
-            else:
-                word, inverted = item
-            normalized.append(word.inverse() if inverted else word)
-        return cls(tuple(normalized))
-
-    @property
-    def rank(self):
-        return max((w.rank for w in self.factors), default=0)
-
-    def occurrences(self):
-        """Per-generator counts of plus and minus letters across factors."""
-        plus = {}
-        minus = {}
-        for w in self.factors:
-            for x in w.letters:
-                if x > 0:
-                    plus[x] = plus.get(x, 0) + 1
-                else:
-                    minus[-x] = minus.get(-x, 0) + 1
-        return plus, minus
-
-    def is_balanced(self):
-        plus, minus = self.occurrences()
-        gens = set(plus) | set(minus)
-        return all(plus.get(g, 0) == minus.get(g, 0) for g in gens)
-
-    def __iter__(self):
-        return iter(self.factors)
+def _balanced(strings):
+    """Whether every generator occurs as often with each sign across the
+    letter tuples; an unbalanced product of traces integrates to 0."""
+    count = collections.Counter(x for letters in strings for x in letters)
+    return all(count[x] == count[-x] for x in count)
 
 
 def _string_layout(strings):
@@ -273,8 +236,10 @@ def _check_dimension(degrees, n):
             f"need n >= {max(degrees)} for the exact Weingarten value at n={n}")
 
 
-def exact_word_moment(monomial, n=None):
-    """E over Haar-independent unitaries of the product of trace factors.
+def exact_word_moment(factors, n=None):
+    """E over Haar-independent unitaries of the trace monomial
+    prod_j tr(w_j(U)), given as its sequence of words w_j; a factor
+    tr(w^-1) is written as w.inverse().
 
     With integer n the value is an exact Fraction (requires n >= the
     largest per-generator occurrence count); with n None it is an exact
@@ -282,11 +247,10 @@ def exact_word_moment(monomial, n=None):
     exactly 0 by phase invariance of the Haar measure.  The factors are
     the open strings of `_pairing_table`, each closed on itself.
     """
-    if not isinstance(monomial, TraceMonomial):
-        monomial = TraceMonomial.of(*monomial)
-    if not monomial.is_balanced():
+    strings = tuple(w.letters for w in factors)
+    if not _balanced(strings):
         return Fraction(0) if n is not None else RationalFunction(0)
-    degrees, table = _pairing_table(tuple(w.letters for w in monomial.factors))
+    degrees, table = _pairing_table(strings)
     _check_dimension(degrees, n)
     polys = _loop_polynomials(table, lambda M: (0,) * perms.num_cycles(M) + (1,))
     return _integrate(degrees, polys, n)
@@ -345,16 +309,16 @@ def _character_blocks(letters, lam_parts, mu_parts):
     |mu| - j), a chain, and the largest comes first, so its table meets
     the size caps before any other is built.
     """
-    w = Word(letters)
-    w_inv = w.inverse()
+    inverse = tuple(-x for x in reversed(letters))
     by_size = {}
     for (lam_p, mu_p), alpha in koike_expand(lam_parts, mu_parts).items():
         by_size.setdefault((lam_p.size, mu_p.size), []).append((lam_p, mu_p, alpha))
     blocks = []
     for (k, ell), labels in sorted(by_size.items(), reverse=True):
-        if not TraceMonomial((w,) * k + (w_inv,) * ell).is_balanced():
+        strings = (letters,) * k + (inverse,) * ell
+        if not _balanced(strings):
             continue
-        degrees, table = _pairing_table((letters,) * k + (w_inv.letters,) * ell)
+        degrees, table = _pairing_table(strings)
         weights = []
         for g1 in perms.all_perms(k):
             for g2 in perms.all_perms(ell):
@@ -513,14 +477,12 @@ def interpolate_phi(lam, mu, w, n_start=None):
         v_functionals=v_funcs)
 
 
-def decay_order_check(report, proper_power=None, mu_empty=None):
+def decay_order_check(report):
     """Check the vanishing order of E(x) at x = 0 against what the decay
-    theory guarantees: order >= ceil(K/6) when the word is not a proper
-    power, strengthened to order >= K when in addition mu is empty."""
-    if proper_power is None:
-        proper_power = is_proper_power(report.word) is not None
-    if mu_empty is None:
-        mu_empty = report.mu.size == 0
+    theory guarantees: order >= ceil(K/6) when the report's word is not a
+    proper power, strengthened to order >= K when in addition mu is empty."""
+    proper_power = is_proper_power(report.word) is not None
+    mu_empty = report.mu.size == 0
     K = report.K
     required = 0
     if not proper_power:

@@ -42,7 +42,7 @@ def test_g_derivative_bound_check_examples():
     assert rec["g_min"] >= 0.5 and rec["g_max"] <= 1.0
     rec = bounds.g_derivative_bound_check(5, 2)
     assert rec["sup_derivative"] <= rec["derivative_bound"]
-    rec = bounds.g_derivative_bound_check(10, 6, grid=50)
+    rec = bounds.g_derivative_bound_check(10, 6)
     assert rec["sup_derivative"] <= rec["derivative_bound"]
     assert rec["inverse_bound_holds"]
 

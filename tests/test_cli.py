@@ -265,6 +265,11 @@ def _no_convergence(*args, **kwargs):
     (["dims", "--n", "3", "--l1-cap", "-1"], None, 2, "--l1-cap"),
     (["expect", "--word", "abAB", "--lambda", "1", "--symbolic", "--n", "3"], None, 2,
      "not allowed with"),
+    (["strongconv", "--r", "2", "--n", "5", "--k", "1", "--l", "0",
+      "--poly", "a", "--reference", "nan"], None, 2, "--reference"),
+    (["dims", "--n", "3", "--A", "nan"], None, 2, "--A"),
+    (["strongconv", "--r", "2", "--n", "5", "--k", "1", "--l", "0",
+      "--poly", "nan*a", "--reference", "1"], None, 2, "nan*a"),
 ], ids=["rwalk-samples-0", "rwalk-r-0", "rwalk-steps-negative", "dims-n-0",
         "strongconv-n-below-k", "strongconv-no-convergence", "wg-n-below-L", "strongconv-samples-0",
         "gcheck-float-overflow", "interp-n-start-0", "strongconv-k-negative",
@@ -272,7 +277,8 @@ def _no_convergence(*args, **kwargs):
         "expect-n-below-lengths", "strongconv-r-0", "strongconv-term-above-r",
         "strongconv-no-n", "rwalk-stack-over-cap", "wg-permutation-120",
         "wg-permutation-210", "bump-eps-inf", "bump-eps-nan", "bump-tmax-negative",
-        "dims-l1-cap-negative", "expect-symbolic-with-n"])
+        "dims-l1-cap-negative", "expect-symbolic-with-n", "strongconv-reference-nan",
+        "dims-A-nan", "strongconv-coefficient-nan"])
 def test_failures_end_with_mapped_exit_code(capsys, monkeypatch, argv, patch, expected,
                                             stderr_has):
     if patch is not None:

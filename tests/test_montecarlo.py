@@ -401,16 +401,16 @@ def test_q_projector_trace_other_labels():
 
 
 def test_estimate_norm_basics():
-    ident = mc.ImplicitTensorOperator.identity(7, 1, 0)
+    ident = mc.ImplicitTensorOperator.identity(7)
     est = mc.estimate_norm(ident, rng=1)
     assert abs(est.value - 1) < 1e-10
-    zero = mc.ImplicitTensorOperator.zero(7, 1, 0)
+    zero = mc.ImplicitTensorOperator.zero(7)
     assert mc.estimate_norm(zero, rng=1).value == 0
 
 
 def test_estimate_norm_u_plus_ustar():
     u = mc.haar_unitary(200, np.random.default_rng(123))
-    op = mc.ImplicitTensorOperator.from_matrix(u + u.conj().T, 200, 1, 0)
+    op = mc.ImplicitTensorOperator.from_matrix(u + u.conj().T)
     est = mc.estimate_norm(op, tol=5e-2, max_iter=3000, rng=5)
     assert 1.9 <= est.value <= 2.0 + 1e-9
 
@@ -419,7 +419,7 @@ def test_estimate_norm_never_exceeds_dense_oracle():
     rng = np.random.default_rng(77)
     for n in (20, 60):
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        op = mc.ImplicitTensorOperator.from_matrix(m, n, 1, 0)
+        op = mc.ImplicitTensorOperator.from_matrix(m)
         true = float(np.linalg.svd(m, compute_uv=False)[0])
         est = mc.estimate_norm(op, tol=5e-2, max_iter=4000, rng=3)
         assert est.value <= true + 1e-9
@@ -439,10 +439,9 @@ def test_estimate_norm_brackets_sigma_max():
     clustered = _hermitian(np.concatenate([[3.0, -3.0 + 1e-6, 3.0 - 2e-6],
                                            np.linspace(-2.9, 2.9, 57)]), 42)
     for m in (dense, rank_one, clustered):
-        n = m.shape[0]
         sigma_max = float(np.linalg.svd(m, compute_uv=False)[0])
         for tol in (1e-2, 5e-2):
-            est = mc.estimate_norm(mc.ImplicitTensorOperator.from_matrix(m, n, 1, 0),
+            est = mc.estimate_norm(mc.ImplicitTensorOperator.from_matrix(m),
                                    tol=tol, rng=9)
             assert est.value <= sigma_max + 1e-9
             assert est.value >= (1 - tol) * sigma_max
@@ -454,7 +453,7 @@ def test_estimate_norm_raises_with_best_estimate():
     m = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
     sigma_max = float(np.linalg.svd(m, compute_uv=False)[0])
     with pytest.raises(ConvergenceError) as info:
-        mc.estimate_norm(mc.ImplicitTensorOperator.from_matrix(m, 60, 1, 0),
+        mc.estimate_norm(mc.ImplicitTensorOperator.from_matrix(m),
                          max_iter=2, rng=3)
     best = info.value.best_estimate
     assert best.iterations == 2
@@ -506,7 +505,7 @@ def test_mc_sample_count_needs_two():
         with pytest.raises(ValidationError):
             mc.mc_expect(Partition((1,)), Partition(()), COMM, 3, samples, 1)
         with pytest.raises(ValidationError):
-            mc.mc_trace_moment([(COMM, False)], 3, samples, 1)
+            mc.mc_trace_moment([COMM], 3, samples, 1)
 
 
 def test_mc_expect_commutator_and_zero_cases():

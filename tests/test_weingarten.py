@@ -136,7 +136,8 @@ def test_norm_kl_against_brute_force():
 
 def test_central_projections_are_orthogonal_idempotents():
     for k in range(1, 5):
-        elements = {lam: wg.central_projection_element(lam) for lam in partitions_of(k)}
+        elements = {lam: wg.SymAlgebraElement(lam.size, wg.central_projection(lam))
+                    for lam in partitions_of(k)}
         for lam, p in elements.items():
             assert p * p == p
             for lam2, p2 in elements.items():

@@ -35,14 +35,28 @@ COMM = fg.parse_word("abAB")
 ORACLE_CAP = 3
 
 
+def letter_counts(monomial):
+    """Occurrences of each signed letter across a trace monomial's words."""
+    return collections.Counter(x for w in monomial for x in w.letters)
+
+
+def is_balanced(monomial):
+    count = letter_counts(monomial)
+    return all(count[x] == count[-x] for x in count)
+
+
+def max_occurrence(monomial):
+    """The most plus letters of one generator, 0 for no letters."""
+    return max((c for x, c in letter_counts(monomial).items() if x > 0), default=0)
+
+
 def within_oracle_cap(lam, mu, w):
     """Whether the engine's tables for s_{lambda,mu}(w), w as given, stay
     within ORACLE_CAP occurrences per generator.  The largest table holds
     |lambda| copies of w and |mu| of w^-1; the smaller ones are balanced
     exactly when it is, and the engine skips unbalanced ones."""
-    m = wi.TraceMonomial((w,) * sum(lam) + (w.inverse(),) * sum(mu))
-    plus, _ = m.occurrences()
-    return not m.is_balanced() or max(plus.values(), default=0) <= ORACLE_CAP
+    m = (w,) * sum(lam) + (w.inverse(),) * sum(mu)
+    return not is_balanced(m) or max_occurrence(m) <= ORACLE_CAP
 
 
 def oracle_pairing_options(p):
@@ -70,7 +84,7 @@ def oracle_term_table(monomial):
     are the cycles of f.
     """
     plus, minus, nvars = {}, {}, 0
-    for w in monomial.factors:
+    for w in monomial:
         q = len(w)
         if q == 0:
             nvars += 1
@@ -113,7 +127,7 @@ def oracle_moment(monomial, n=None):
     """The oracle table summed entry by entry at integer n; symbolically,
     per cycle types, sum count * n^loops times each Wg_L(ct) as its own
     rational function."""
-    if not monomial.is_balanced():
+    if not is_balanced(monomial):
         return Fraction(0) if n is not None else RationalFunction(0)
     table, degrees = oracle_term_table(monomial)
     if n is not None:
@@ -149,7 +163,7 @@ def oracle_expect(lam, mu, w, n=None):
         for rho1, c1 in powersum_terms(lam_p):
             for rho2, c2 in powersum_terms(mu_p):
                 factors = [w**p for p in rho1.parts] + [w.inverse()**p for p in rho2.parts]
-                moment = oracle_moment(wi.TraceMonomial(tuple(factors)), n)
+                moment = oracle_moment(factors, n)
                 total = total + moment * (alpha * c1 * c2)
     return total
 
@@ -158,7 +172,7 @@ def open_string_table(monomial):
     """The open-string table of the factors glued into their own traces
     (gamma = id), keyed as the oracle table: (cycle types, closed +
     cycles(M)) -> count."""
-    degrees, table = wi._pairing_table(tuple(w.letters for w in monomial.factors))
+    degrees, table = wi._pairing_table(tuple(w.letters for w in monomial))
     out = collections.Counter()
     for cts, rows in table.items():
         for closed, M, count in rows:
@@ -171,17 +185,17 @@ def as_constant(rf):
 
 
 def test_unbalanced_monomial_is_zero():
-    assert wi.exact_word_moment(wi.TraceMonomial.of(A)).is_zero()
-    assert wi.exact_word_moment(wi.TraceMonomial.of(A), n=7) == 0
+    assert wi.exact_word_moment([A]).is_zero()
+    assert wi.exact_word_moment([A], n=7) == 0
 
 
 def test_single_trace_pair_is_one():
-    m = wi.TraceMonomial.of(A, (A, True))
+    m = [A, A.inverse()]
     assert as_constant(wi.exact_word_moment(m)) == 1
 
 
 def test_commutator_trace_is_one_over_n():
-    value = wi.exact_word_moment(wi.TraceMonomial.of(COMM))
+    value = wi.exact_word_moment([COMM])
     assert value == RationalFunction(Polynomial((1,)), Polynomial.x())
 
 
@@ -189,16 +203,16 @@ def test_power_trace_variance_matches_min_oracle():
     # E |tr u^j|^2 = min(j, n); symbolically the engine sees the regime
     # n >= j, where the value is the constant j
     for j in (1, 2, 3):
-        m = wi.TraceMonomial.of(A**j, (A**j, True))
+        m = [A**j, (A**j).inverse()]
         assert as_constant(wi.exact_word_moment(m)) == j
         for n in range(j, j + 3):
             assert wi.exact_word_moment(m, n=n) == j
     with pytest.raises(ValidationError):
-        wi.exact_word_moment(wi.TraceMonomial.of(A**3, (A**3, True)), n=2)
+        wi.exact_word_moment([A**3, (A**3).inverse()], n=2)
 
 
 def test_occurrence_cap():
-    m = wi.TraceMonomial.of(A**7, (A**7, True))
+    m = [A**7, (A**7).inverse()]
     with pytest.raises(UnsupportedSizeError):
         wi.exact_word_moment(m)
 
@@ -216,7 +230,7 @@ def test_pairing_options_match_python_loop(p):
 def test_commutator_with_a_power_is_min_over_n(k):
     # E tr(a^k b a^-k b^-1) = E |tr a^k|^2 / n = min(k, n)/n; symbolically
     # the engine sees the regime n >= k, where it is k/n
-    m = wi.TraceMonomial.of(A**k * B * (A**k).inverse() * B.inverse())
+    m = [A**k * B * (A**k).inverse() * B.inverse()]
     assert wi.exact_word_moment(m) == RationalFunction(Polynomial((k,)), Polynomial.x())
     for n in (k, 2 * k):
         assert wi.exact_word_moment(m, n=n) == Fraction(min(k, n), n)
@@ -226,14 +240,14 @@ def test_too_many_factors_for_the_pairing_key():
     # tr(a) tr(A) ... tr(h) tr(H): one pairing, but 16^16 endpoint
     # matchings do not fit the 64-bit key, so the table is refused
     letters = [x for g in range(1, 9) for x in (g, -g)]
-    m = wi.TraceMonomial(tuple(fg.Word((x,)) for x in letters))
+    m = [fg.Word((x,)) for x in letters]
     with pytest.raises(UnsupportedSizeError):
         wi.exact_word_moment(m, n=3)
-    assert wi.exact_word_moment(wi.TraceMonomial(m.factors[:12]), n=3) == 1
+    assert wi.exact_word_moment(m[:12], n=3) == 1
 
 
 def test_empty_factor_is_dimension():
-    m = wi.TraceMonomial.of(fg.Word(()))
+    m = [fg.Word(())]
     assert wi.exact_word_moment(m, n=6) == 6
     sym = wi.exact_word_moment(m)
     assert sym == RationalFunction(Polynomial.x())
@@ -248,7 +262,7 @@ def balanced_monomials(draw):
     letters = draw(st.permutations([1] * ka + [2] * kb + [-1] * ka + [-2] * kb))
     cuts = sorted(draw(st.lists(st.integers(0, len(letters)), max_size=2)))
     bounds = [0, *cuts, len(letters)]
-    return wi.TraceMonomial(tuple(fg.Word(letters[i:j]) for i, j in zip(bounds, bounds[1:])))
+    return tuple(fg.Word(letters[i:j]) for i, j in zip(bounds, bounds[1:]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,8 +270,7 @@ def balanced_monomials(draw):
 def test_symbolic_moment_matches_fixed_n_sum(monomial):
     # the shared-denominator sum against the Fraction sum at each n
     symbolic = wi.exact_word_moment(monomial)
-    plus, _ = monomial.occurrences()
-    n0 = max(plus.values(), default=1)
+    n0 = max(max_occurrence(monomial), 1)
     for n in range(n0, n0 + 5):
         assert symbolic(Fraction(n)) == wi.exact_word_moment(monomial, n=n)
 
@@ -433,7 +446,7 @@ def test_genus_two_surface_word_gives_inverse_dimension_cubed(lam, n, expected):
 def _power_monomial(rho, inverted):
     """prod_j tr(U^j)^(a_j), or its conjugate, with a_j the multiplicity
     of j in rho: one factor A**j per part."""
-    return [(A**j, inverted) for j in rho.parts]
+    return [(A.inverse() if inverted else A)**j for j in rho.parts]
 
 
 def test_diaconis_shahshahani_power_moments():
@@ -444,7 +457,7 @@ def test_diaconis_shahshahani_power_moments():
     pairs = [(rho, sigma) for rho in rhos for sigma in rhos]
     pairs += [(Partition((k,)), Partition((k,))) for k in (5, 6)]
     for rho, sigma in pairs:
-        m = wi.TraceMonomial.of(*_power_monomial(rho, False), *_power_monomial(sigma, True))
+        m = _power_monomial(rho, False) + _power_monomial(sigma, True)
         expected = 0
         if rho == sigma:
             expected = math.prod(j**a * math.factorial(a)
@@ -506,19 +519,22 @@ def test_decay_order_check_verdicts(commutator_report):
     verdict = wi.decay_order_check(commutator_report)
     assert verdict["passed"]
     assert verdict["required_order"] == 1 and verdict["observed_order"] == 1
-    # forcing a stricter requirement must raise
+    # a fake report whose observed order 0 is below the requirement must raise
     fake = wi.InterpolationReport(
         lam=Partition((2,)), mu=Partition(()), word=COMM,
         n_start=8, sample_points=[], held_out_points=[],
         degree_cap=74, poly_coeffs=(Fraction(1),), fitted_degree=0,
         residuals=[], vanishing_order=0, v_functionals=[Fraction(1)])
+    # COMM is not a proper power and mu is empty, so order K = 2 is required
     with pytest.raises(TheoremViolationError):
-        wi.decay_order_check(fake, proper_power=False, mu_empty=True)
+        wi.decay_order_check(fake)
 
 
 def test_proper_power_relaxes_requirement():
-    rep = wi.interpolate_phi((1,), (), COMM)
-    verdict = wi.decay_order_check(rep, proper_power=True)
+    # abab = (ab)^2 is detected as a proper power, which guarantees nothing
+    rep = wi.interpolate_phi((1,), (), fg.parse_word("abab"))
+    verdict = wi.decay_order_check(rep)
+    assert verdict["proper_power"] is True
     assert verdict["required_order"] == 0
 
 
