@@ -25,6 +25,11 @@ EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 EXIT_THEOREM = 4
 
+# `strongconv` estimates a norm from the squared operator and the squared
+# length of its output, so the fourth power of the coefficients' l1 norm
+# has to stay a normal float.
+POLY_L1_RANGE = (2.0 ** -255, 2.0 ** 255)
+
 
 def _parse_partition(text):
     if text is None or text.strip() == "":
@@ -66,6 +71,11 @@ def _parse_poly(text):
             coeff, word_text = 1.0, chunk
         w = Word(()) if word_text == "e" else parse_word(word_text)
         terms.append((w, sign * coeff))
+    l1 = sum(abs(c) for _, c in terms)
+    if l1 != 0.0 and not POLY_L1_RANGE[0] <= l1 <= POLY_L1_RANGE[1]:
+        raise ValidationError(
+            f"the coefficients {[c for _, c in terms]} of {text!r} have l1 norm {l1:.3g}, "
+            "outside [2^-255, 2^255]: the norm estimate works with its fourth power")
     return terms
 
 
@@ -225,7 +235,11 @@ def _cmd_dims(args):
     worst_margin = math.inf
     classifier_ok = True
     if args.A is not None:
-        threshold = montecarlo.DIM_LOWER_BOUND_CONSTANT * args.n ** args.A
+        try:
+            n_to_A = args.n ** args.A
+        except OverflowError:  # above every l1 the loop reaches
+            n_to_A = math.inf
+        threshold = montecarlo.DIM_LOWER_BOUND_CONSTANT * n_to_A
     for total in range(0, args.l1_cap + 1):
         for k in range(total + 1):
             for lam in partitions_of(k):
@@ -239,7 +253,7 @@ def _cmd_dims(args):
                                        rec["log_upper"] - rec["log_dim"])
                     rows.append(rec["passed"])
                     if (args.A is not None and rec["log_dim"] < threshold
-                            and rec["l1"] > args.n ** args.A):
+                            and rec["l1"] > n_to_A):
                         classifier_ok = False
     _emit_json({"n": args.n, "l1_cap": args.l1_cap, "count": len(rows),
                 "all_passed": all(rows), "worst_log_margin": worst_margin,
@@ -360,8 +374,7 @@ def run(argv):
         print(f"no convergence: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except OverflowError as exc:
-        print(f"float overflow: {exc}; the float grid overflows at this size "
-              "(e.g. the g_L coefficients of `bounds gcheck` for large L)",
+        print(f"float overflow: {exc}; a float value left the float range at this size",
               file=sys.stderr)
         return EXIT_RESOURCE
     except TheoremViolationError as exc:

@@ -141,3 +141,29 @@ def test_periodized_coefficients(profile):
         assert abs(coeff) <= envelope * (1 + 1e-9)
     with pytest.raises(ValidationError):
         bounds.periodized_coefficient(profile, 4.0, 1)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
+def test_integrate_tail_agrees_with_quad(monkeypatch, eps):
+    # second route: scipy's quad on the very integrands the profile hands
+    # to integrate_tail, the p = 1 correction at x0 = 200001 and the
+    # p = 2, 4, 6, 8 tails at x0 = 1025
+    integrate = pytest.importorskip("scipy.integrate")
+    port = bounds.integrate_tail
+    calls = []
+
+    def recording(f, x0):
+        value = port(f, x0)
+        calls.append((f, x0, value))
+        return value
+
+    monkeypatch.setattr(bounds, "integrate_tail", recording)
+    profile = bounds.BumpProfile(eps)
+    for p in (2, 4, 6, 8):
+        profile.tail_power_sum(1024, p)
+    assert [x0 for _, x0, _ in calls] == [200001.0] + [1025.0] * 4
+    for i, (f, x0, value) in enumerate(calls):
+        want, abserr = integrate.quad(f, x0, np.inf, limit=200)
+        assert abs(value - want) <= abserr
+        if i == 0:  # the p = 1 correction, which sets the normalisation c
+            assert abs(value - want) <= 1e-12 * abs(want)

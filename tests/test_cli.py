@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -200,6 +201,21 @@ def test_bounds_bump_csv(capsys):
     assert len(lines) == 6
 
 
+def test_bounds_bump_csv_pinned(capsys):
+    # the table as it read when the tails came from scipy's quad, within
+    # the benchmark's tolerance
+    pinned = os.path.join(os.path.dirname(__file__), "data", "bump_eps0.5_tmax10000.csv")
+    with open(pinned) as fh:
+        want = [line.split(",") for line in fh.read().splitlines()]
+    code, out, _ = run_cli(capsys, "bounds", "bump", "--eps", "0.5", "--tmax", "10000")
+    assert code == 0
+    got = [line.split(",") for line in out.splitlines()]
+    assert got[0] == want[0] and len(got) == len(want)
+    for got_row, want_row in zip(got[1:], want[1:]):
+        assert all(math.isclose(float(g), float(w), rel_tol=1e-9, abs_tol=1e-9)
+                   for g, w in zip(got_row, want_row))
+
+
 def test_bounds_bump_envelope_past_float_range(capsys):
     # at eps = 0.1 the envelope at t = 10000 is above the float range: the
     # row prints inf and the check, made on logs, passes
@@ -208,6 +224,28 @@ def test_bounds_bump_envelope_past_float_range(capsys):
     rows = [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[1:]]
     assert rows[-1][2] == math.inf
     assert all(fourier <= envelope for _, fourier, envelope in rows)
+
+
+def test_dims_classifier_with_n_to_the_A_past_float_range(capsys):
+    # 30^1e10 overflows a float; no weight has that many boxes
+    code, out, _ = run_cli(capsys, "dims", "--n", "30", "--A", "1e10")
+    assert code == 0
+    assert json.loads(out)["classifier_ok"] is True
+
+
+@pytest.mark.parametrize("coeff, shown", [("1e300", "1e+300"), ("0." + "0" * 99 + "1", "1e-100")],
+                         ids=["huge", "tiny"])
+def test_strongconv_rejects_coefficients_it_cannot_square(capsys, coeff, shown):
+    # the norm estimate squares the operator and then the length of its
+    # output: 1e300 overflowed with numpy warnings, and 1e-100 underflowed
+    # to a zero residual and an estimate of 1.5e-100 for a norm of 2e-100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "strongconv", "--r", "1", "--k", "1", "--l", "0",
+                                 "--n", "20", "--poly", f"{coeff}*a+{coeff}*A",
+                                 "--samples", "1", "--reference", "1")
+    assert code == 2 and out == ""
+    assert f"coefficients [{shown}, {shown}]" in err
 
 
 def test_dims_check(capsys):
@@ -302,6 +340,8 @@ def test_rwalk_and_interp_import_no_scipy():
               "import haarwords.rwalk\n"
               "from haarwords import cli\n"
               "assert cli.run(['interp', '--word', 'abAB', '--lambda', '1']) == 0\n"
+              "assert cli.run(['bounds', 'bump', '--eps', '0.5', '--tmax', '100']) == 0\n"
+              "assert cli.run(['bounds', 'gcheck', '--L', '10', '--i', '6']) == 0\n"
               "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
