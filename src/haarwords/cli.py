@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from functools import lru_cache
 
@@ -41,6 +42,11 @@ def _parse_partition(text):
     return Partition(parts)
 
 
+# A coefficient read up to its exponent marker, as in '1e' of '1e-3*a':
+# the sign that follows belongs to the exponent, not to the next term.
+_MANTISSA = r"(\d+\.?\d*|\.\d+)[eE]"
+
+
 def _parse_poly(text):
     """Word polynomial grammar: terms joined by + or -, each term an
     optional real coefficient, '*', then a word ('e' for the identity)."""
@@ -49,7 +55,7 @@ def _parse_poly(text):
     chunks = []
     sign = 1.0
     for ch in text.replace(" ", ""):
-        if ch in "+-" and token:
+        if ch in "+-" and token and not re.fullmatch(_MANTISSA, token):
             chunks.append((sign, token))
             sign = 1.0 if ch == "+" else -1.0
             token = ""

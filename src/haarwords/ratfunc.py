@@ -1,9 +1,12 @@
 """Exact univariate polynomials and rational functions over Q.
 
-Everything here is Fraction-based; no floating point.  Rational functions
-are kept normalized (coprime numerator/denominator, monic denominator) so
-that equal values have identical representations and serialize to
-canonical strings.
+A Polynomial is kept as integer numerators over one positive integer
+denominator, in lowest terms, so its arithmetic and its evaluation at an
+integer or a Fraction run on Python integers and build a Fraction once, at
+the end.  Rational functions are kept normalized (coprime
+numerator/denominator, monic denominator).  Equal values have identical
+representations and serialize to canonical strings; nothing here uses
+floating point.
 """
 
 from __future__ import annotations
@@ -14,44 +17,75 @@ from fractions import Fraction
 from .errors import ValidationError
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
+def _rational(x):
+    """x itself when it is an int or a Fraction, both of which carry
+    `numerator` and `denominator`; anything else is refused."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise ValidationError(f"exact arithmetic needs int or Fraction, got {type(x).__name__}")
 
 
-class Polynomial:
-    """Dense polynomial, coefficients ascending by power."""
+def _from_ints(nums, den):
+    """The Polynomial sum_i nums[i] x^i / den for integers nums and a
+    positive integer den."""
+    p = object.__new__(Polynomial)
+    p._set(nums, den)
+    return p
 
-    __slots__ = ("coeffs",)
+
+class Polynomial:
+    """Dense polynomial over Q: sum_i nums[i] x^i / den.
+
+    `nums` holds integers ascending by power with no trailing zero, `den`
+    is a positive integer, and gcd(den, *nums) = 1 (den = 1 for the zero
+    polynomial).  The form is canonical, so equal polynomials have equal
+    fields."""
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [_rational(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, nums, den):
+        """Store nums / den in lowest terms, trailing zeros dropped."""
+        end = len(nums)
+        while end and not nums[end - 1]:
+            end -= 1
+        nums = tuple(nums[:end])
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = tuple(a // g for a in nums)
+        self.nums = nums
+        self.den = den
 
     @classmethod
     def x(cls):
         return cls((0, 1))
 
     @property
+    def coeffs(self):
+        """The coefficients as Fractions, ascending by power."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
+
+    @property
     def degree(self):
         """Degree, with the zero polynomial by convention -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[-1], self.den) if self.nums else Fraction(0)
 
     def order_at_zero(self):
         """Index of the lowest nonzero coefficient; inf for the zero poly."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        for i, a in enumerate(self.nums):
+            if a:
                 return i
         return math.inf
 
@@ -60,49 +94,55 @@ class Polynomial:
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self.nums, other.nums, self.den
+        if other.den != den:
+            den = math.lcm(den, other.den)
+            sa, sb = den // self.den, den // other.den
+            a = [x * sa for x in a]
+            b = [x * sb for x in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Polynomial(out)
+        return _from_ints(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return _from_ints([-a for a in self.nums], self.den)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial) else Polynomial((-_as_fraction(other),)))
+        return self + (-other if isinstance(other, Polynomial) else Polynomial((-_rational(other),)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Polynomial(tuple(c * other for c in self.coeffs))
+            return _from_ints([a * other.numerator for a in self.nums],
+                              self.den * other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        b = other.nums
+        out = [0] * (len(self.nums) + len(b) - 1)
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, c in enumerate(b, i):
+                    out[j] += a * c
+        return _from_ints(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -119,22 +159,28 @@ class Polynomial:
         return result
 
     def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """The value at an int or Fraction x = p/q as one Fraction, from the
+        homogeneous Horner sum sum_i nums[i] p^i q^(d-i) over den q^d."""
+        x = _rational(x)
+        p, q = x.numerator, x.denominator
+        acc, qk = 0, 1
+        for a in reversed(self.nums):
+            acc = acc * p + a * qk
+            qk *= q
+        # qk = q^(d+1) after the d+1 steps
+        return Fraction(acc * q, self.den * qk)
 
     def derivative(self, order=1):
         p = self
         for _ in range(order):
-            p = Polynomial(tuple(c * i for i, c in enumerate(p.coeffs) if i > 0))
+            p = _from_ints([i * a for i, a in enumerate(p.nums)][1:], p.den)
         return p
 
     def monic(self):
         if self.is_zero():
             return self
-        lc = self.leading()
-        return Polynomial(tuple(c / lc for c in self.coeffs))
+        lc = self.nums[-1]
+        return _from_ints([a if lc > 0 else -a for a in self.nums], abs(lc))
 
     def divmod(self, other):
         if other.is_zero():

@@ -353,9 +353,12 @@ def dual_jacobi_trudi(weight):
 
 def schur_from_elementary(weight, e):
     """The character with highest weight w (see `dual_jacobi_trudi`) at the
-    point whose elementary symmetric values are e[0..n], exactly.  The
-    determinant is at most 4 wide here, so a Leibniz sum is enough."""
+    point whose elementary symmetric values are e[0..n], as an integer; w
+    has no negative entry.  The determinant is at most 4 wide here, so a
+    Leibniz sum is enough."""
     c, rows = dual_jacobi_trudi(weight)
+    if c < 0:
+        raise ValidationError(f"weight {weight} has a negative entry")
     m, n = len(rows), len(e) - 1
     total = 0
     for p in perms.all_perms(m):
@@ -364,7 +367,7 @@ def schur_from_elementary(weight, e):
             d = rows[i][p[i]]
             term *= e[d] if 0 <= d <= n else 0
         total += term
-    return Fraction(e[n]) ** c * total
+    return e[n] ** c * total
 
 
 def _validate_koike(lam, mu, terms):
@@ -372,8 +375,11 @@ def _validate_koike(lam, mu, terms):
     exactly, at 2 seeded integer points x in (+-[2, 1000])^n for each of 4
     values of n >= k + l.  Any mismatch is a hard error.
 
-    The left side is the mixed weight w through `schur_from_elementary`;
-    the right side reads e_j(x^-1) = e_{n-j}(x) / e_n(x).
+    Both sides are multiplied by e_n(x)^l, which clears every denominator:
+    e_n^l s_{lambda,mu} is the character of the mixed weight w shifted by
+    l, and e_n^l s_{mu'}(x^-1) that of the weight l - (mu'_n, ..., mu'_1).
+    Every mu' of the expansion lies inside mu, so neither weight has a
+    negative entry and `schur_from_elementary` compares integers.
     For n >= k + l the products s_{lambda'} s_{mu'}(x^-1) are linearly
     independent, so a wrong coefficient leaves a nonzero difference, a
     Laurent polynomial that (x_1...x_n)^l clears to a polynomial of degree
@@ -385,13 +391,15 @@ def _validate_koike(lam, mu, terms):
     rng = random.Random(_KOIKE_VALIDATION_SEED + 1000 * k + ell)
     for n in range(max(k + ell, 1), max(k + ell, 1) + 4):
         w = lam.parts + (0,) * (n - lam.length - mu.length) + tuple(-p for p in reversed(mu.parts))
+        shifted = tuple(p + ell for p in w)
+        duals = {mu_p: (ell,) * (n - mu_p.length) + tuple(ell - p for p in reversed(mu_p.parts))
+                 for _, mu_p in terms}
         for _ in range(2):
             x = [rng.choice((-1, 1)) * rng.randint(2, 1000) for _ in range(n)]
             e = elementary_symmetric(x)
-            e_inv = [Fraction(e[n - j], e[n]) for j in range(n + 1)]
-            lhs = schur_from_elementary(w, e)
+            lhs = schur_from_elementary(shifted, e)
             rhs = sum(c * schur_from_elementary(lam_p.parts + (0,), e)
-                      * schur_from_elementary(mu_p.parts + (0,), e_inv)
+                      * schur_from_elementary(duals[mu_p], e)
                       for (lam_p, mu_p), c in terms.items())
             if lhs != rhs:
                 raise TheoremViolationError(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -67,6 +68,23 @@ def test_expect_k4_matches_pinned_output(capsys, argv, stdout):
     # byte for byte (1/dim s_{lambda,mu} at n = 10, 12/(n^2 (n^2 - 1)))
     code, out, _ = run_cli(capsys, "expect", "--word", "abAB", *argv)
     assert code == 0 and out == stdout
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["wg", "--L", "8", "--cycle-type", "3,2,2,1"],
+     "c38dd825ff100a0d7630d581a4657c8a51d721f20a1744c65d60cbb1c9aeff4b"),
+    (["interp", "--word", "abAB", "--lambda", "2"],
+     "58ee7afa55f41ebd06b7f611d2644a8659ced8d2a0c1fcdbb9a805082d47e59c"),
+    (["interp", "--word", "abAB", "--lambda", "1,1", "--mu", "1"],
+     "1484080e6f5e447dd5b49070eb9b7443b530e8ee27d8deb9e22f6283d1de19fc"),
+    (["decay", "--word", "abAB", "--lambda", "2,2"],
+     "b1e18017075a758e41ceca3af33b557d9826f86aebc3c84f3bf79219fc43db39"),
+], ids=["wg-L8", "interp-2", "interp-1,1-1", "decay-2,2"])
+def test_exact_outputs_match_pinned_digests(capsys, argv, digest):
+    # sha256 of the stdout recorded at commit f6ecbee, when polynomials kept
+    # Fraction coefficients: the exact values stay byte-identical
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_pairing_cap_refuses_before_enumerating(capsys):
@@ -246,6 +264,18 @@ def test_strongconv_rejects_coefficients_it_cannot_square(capsys, coeff, shown):
                                  "--samples", "1", "--reference", "1")
     assert code == 2 and out == ""
     assert f"coefficients [{shown}, {shown}]" in err
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("1e-3*a+A", [("a", 1e-3), ("A", 1.0)]),
+    ("2E+0*a+A", [("a", 2.0), ("A", 1.0)]),
+    ("e-a", [("", 1.0), ("a", -1.0)]),
+    ("2*e-a", [("", 2.0), ("a", -1.0)]),
+], ids=["exponent-minus", "exponent-plus", "identity-minus-a", "scaled-identity-minus-a"])
+def test_parse_poly_float_exponents(text, terms):
+    # the sign after a mantissa's e belongs to the coefficient; a lone 'e'
+    # is the identity word
+    assert [(w.format(), c) for w, c in cli._parse_poly(text)] == terms
 
 
 def test_dims_check(capsys):

@@ -287,3 +287,9 @@ def test_schur_from_elementary_against_tableau_count():
                 e = sg.elementary_symmetric(xs)
                 assert sg.schur_from_elementary(lam.parts + (0,), e) == ssyt_schur(lam, xs), \
                     (lam, xs)
+
+
+def test_schur_from_elementary_refuses_a_negative_weight():
+    # e_n^c with c < 0 would leave the integers
+    with pytest.raises(ValidationError):
+        sg.schur_from_elementary((1, 0, -1), sg.elementary_symmetric((2, 3, 5)))
