@@ -1,8 +1,6 @@
-"""Analytic gadget suite: the pole-clearing polynomial g_L and its
-derivative bounds, Markov-brothers inequality checkers, epsilon-net
-comparisons between an interval sup and values at reciprocal integers,
-and smooth bump functions with quasi-exponentially decaying Fourier
-transforms.
+"""Analytic gadgets: the pole-clearing polynomial g_L and its derivative
+bounds, and smooth bump functions with quasi-exponentially decaying
+Fourier transforms.
 """
 
 from __future__ import annotations
@@ -36,15 +34,6 @@ def g_polynomial(L):
 @lru_cache(maxsize=None)
 def _g_derivative_float(L, order):
     return np.array([float(c) for c in g_polynomial(L).derivative(order).coeffs][::-1])
-
-
-def g_eval(L, t, derivative_order=0):
-    """Value of g_L^{(i)}(t); exact polynomial differentiated, evaluated at
-    the exact binary rational t, returned as a float."""
-    if derivative_order < 0:
-        raise ValidationError("derivative order must be >= 0")
-    p = g_polynomial(L).derivative(derivative_order)
-    return float(p(Fraction(t)))
 
 
 def _g_derivatives_on_grid(L, max_order, ts):
@@ -97,103 +86,6 @@ def g_derivative_bound_check(L, i):
     if sup_gi > bound_i * (1 + GRID_SLACK):
         raise TheoremViolationError(
             f"|g_{L}^({i})| exceeded (3 i L^1.5)^i on the grid", details=record)
-    return record
-
-
-def chebyshev_grid(a, b, points):
-    """Chebyshev extrema mapped to [a, b]; includes both endpoints."""
-    j = np.arange(points + 1)
-    return (a + b) / 2 + (b - a) / 2 * np.cos(np.pi * j / points)
-
-
-def _float_poly(coeffs):
-    return np.array([float(c) for c in coeffs][::-1])
-
-
-def markov_factor(D, k):
-    """D^2 (D^2 - 1) ... (D^2 - (k-1)^2) / (2k-1)!!, exact."""
-    num = 1
-    for j in range(k):
-        num *= D * D - j * j
-    den = 1
-    for j in range(1, 2 * k, 2):
-        den *= j
-    return Fraction(num, den)
-
-
-def markov_check(coeffs, k, interval=(-1.0, 1.0)):
-    """sup |P^{(k)}| against the Markov-brothers bound on [a, b], on the
-    64 D + 1 Chebyshev extrema; the ratio must stay below 1 + 1e-9."""
-    a, b = interval
-    if b <= a:
-        raise ValidationError("empty interval")
-    pol = np.asarray([float(c) for c in coeffs], dtype=float)
-    D = len(pol) - 1
-    while D > 0 and pol[D] == 0:
-        D -= 1
-    if k < 1 or k > D:
-        raise ValidationError("need degree >= k >= 1")
-    xs = chebyshev_grid(a, b, 64 * D)
-    base = _float_poly(pol[:D + 1])
-    sup_p = float(np.abs(np.polyval(base, xs)).max())
-    deriv = base
-    for _ in range(k):
-        deriv = np.polyder(deriv)
-    lhs = float(np.abs(np.polyval(deriv, xs)).max())
-    rhs = float(markov_factor(D, k)) * (2.0 / (b - a)) ** k * sup_p
-    ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0 else math.inf)
-    record = {"degree": D, "k": k, "interval": [a, b], "lhs": lhs, "rhs": rhs, "ratio": ratio}
-    if ratio > 1 + GRID_SLACK:
-        raise TheoremViolationError("Markov-brothers ratio exceeded 1", details=record)
-    return record
-
-
-def epsilon_net_check(coeffs, N):
-    """Check sup_{[0,1/N]} |P| <= (1 - D^2/(N+1))^{-1} sup_{n>=N} |P(1/n)|,
-    and the derived derivative bound
-    sup_{[0,1/(2D^2)]} |P^{(k)}| <= 2^{2k+1} D^{4k} / (2k-1)!! * sup_{n>=D^2} |P(1/n)|.
-
-    The right-hand sups are evaluated at n up to N(N+1) together with the
-    limit value P(0); that point set has mesh <= 1/(2N(N+1)) in [0, 1/N],
-    which is what the underlying argument needs.
-    """
-    base = _float_poly([float(c) for c in coeffs])
-    D = len(base) - 1
-    if N < max(D * D, 1):
-        raise ValidationError(f"need N >= D^2 = {D * D}")
-    xs = chebyshev_grid(0.0, 1.0 / N, 64 * max(D, 1))
-    lhs = float(np.abs(np.polyval(base, xs)).max())
-    cap = max(N * (N + 1), 4 * N)
-    ns = np.arange(N, cap + 1, dtype=float)
-    rhs_sup = float(np.abs(np.polyval(base, 1.0 / ns)).max())
-    rhs_sup = max(rhs_sup, abs(float(np.polyval(base, 0.0))))
-    factor = 1.0 / (1.0 - D * D / (N + 1.0))
-    record = {
-        "degree": D, "N": N, "lhs": lhs, "rhs_sup": rhs_sup, "factor": factor,
-        "net_ok": lhs <= factor * rhs_sup * (1 + GRID_SLACK) + 1e-300,
-        "derivative_checks": [],
-    }
-    if not record["net_ok"]:
-        raise TheoremViolationError("epsilon-net comparison failed", details=record)
-
-    if D >= 1:
-        n0 = D * D
-        cap0 = max(n0 * (n0 + 1), 4 * n0)
-        ns0 = np.arange(max(n0, 1), cap0 + 1, dtype=float)
-        rhs0 = float(np.abs(np.polyval(base, 1.0 / ns0)).max())
-        rhs0 = max(rhs0, abs(float(np.polyval(base, 0.0))))
-        xs0 = chebyshev_grid(0.0, 1.0 / (2 * D * D), 64 * D)
-        deriv = base
-        for k in range(1, min(D, 4) + 1):
-            deriv = np.polyder(deriv)
-            lhs_k = float(np.abs(np.polyval(deriv, xs0)).max())
-            bound = 2.0 ** (2 * k + 1) * float(D) ** (4 * k) / float(math.prod(range(1, 2 * k, 2))) * rhs0
-            ok = lhs_k <= bound * (1 + GRID_SLACK) + 1e-300
-            record["derivative_checks"].append(
-                {"k": k, "lhs": lhs_k, "bound": bound, "ok": ok})
-            if not ok:
-                raise TheoremViolationError(
-                    f"derivative epsilon-net bound failed at k={k}", details=record)
     return record
 
 
@@ -340,7 +232,6 @@ class BumpProfile:
         self.head_sum = s_head * self.c
         self.tail_sum = s_tail * self.c
         self.normalization_head = _NORMALIZATION_HEAD
-        self.fitted_m = None
 
     def _raw_sum(self):
         js = np.arange(1, _NORMALIZATION_HEAD + 1, dtype=float)
@@ -437,28 +328,3 @@ def bump_envelope_check(profile, ts):
         ok = ok and good
         rows.append({"t": t, "fourier": value, "envelope": env, "ok": good})
     return {"rows": rows, "all_ok": ok}
-
-
-def fit_decay_constant(profile, ts):
-    """M = inf over the grid of -log|mu-hat(t)| * log(2+t)^{1+eps} / t; a
-    positive fit certifies quasi-exponential decay on the grid."""
-    best = math.inf
-    for t in ts:
-        t = float(t)
-        if t <= 0:
-            continue
-        v = abs(bump_fourier(profile, t))
-        if v == 0.0:
-            continue
-        m = -math.log(v) * math.log(2.0 + t) ** (1.0 + profile.epsilon) / t
-        best = min(best, m)
-    profile.fitted_m = best
-    return best
-
-
-def periodized_coefficient(profile, alpha, k):
-    """Fourier coefficient of the 2-pi periodization scaled to (-alpha, alpha):
-    phi_alpha-hat(k) = alpha/(2 pi) mu-hat(k alpha)."""
-    if not 0 < alpha < math.pi:
-        raise ValidationError("alpha must lie in (0, pi)")
-    return alpha / (2 * math.pi) * bump_fourier(profile, k * alpha)

@@ -1,6 +1,7 @@
 """Haar sampling on U(n) and SU(n), matrix-free mixed tensor
-representations, Weyl characters and dimensions, invariant projectors,
-operator-norm estimation, and the Monte Carlo word-integral experiments.
+representations, Weyl characters and dimensions, the projector onto
+invariant tensors, operator-norm estimation, and the Monte Carlo
+word-integral experiments.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ from .errors import (ConvergenceError, ResourceCapError, TheoremViolationError,
 from .freegroup import evaluate_word
 from .symgroup import dual_jacobi_trudi
 
-DENSE_PROJECTOR_CAP = 10_000
 APPLY_VECTOR_CAP = 10_000_000
 DIM_LOWER_BOUND_CONSTANT = math.log(2) / 8
-STRONGCONV_TOL = 5e-2            # Ritz tolerance of each `strongconv` norm estimate
-CONCENTRATION_FLAG_SCALES = 10.0  # a norm this many Lipschitz scales off its mean is flagged
+STRONGCONV_TOL = 5e-2  # Ritz tolerance of each `strongconv` norm estimate
 
 
 def substream(seed, *path):
@@ -96,16 +95,6 @@ def _haar_chunks(samples, r, n, rng, group):
         yield sample_tuple(r, n, rng, group=group, batch=min(HAAR_CHUNK, samples - start))
 
 
-def haar_unitary(n, rng):
-    """One Haar-distributed U(n) matrix (see `sample_tuple`)."""
-    return sample_tuple(1, n, rng)[0]
-
-
-def haar_special_unitary(n, rng):
-    """One Haar-distributed SU(n) matrix (see `sample_tuple`)."""
-    return sample_tuple(1, n, rng, group="SU")[0]
-
-
 def unitarity_residual(u):
     """max |u* u - 1| over a matrix, or over every matrix of a (..., n, n)
     stack."""
@@ -160,14 +149,12 @@ def mixed_weight(lam, mu, n):
     return tuple(lam.parts) + (0,) * pad + tuple(-p for p in reversed(mu.parts))
 
 
-def weyl_dim(weight, n=None):
+def weyl_dim(weight):
     """Irreducible dimension from the Weyl dimension formula, exact integer:
-    prod_{i<j} (j - i + L_i - L_j) / (j - i)."""
+    prod_{i<j} (j - i + L_i - L_j) / (j - i) over the n entries of the
+    weight."""
     entries = weight.entries if isinstance(weight, HighestWeight) else tuple(weight)
-    if n is None:
-        n = len(entries)
-    if len(entries) != n:
-        raise ValidationError("weight length must equal n")
+    n = len(entries)
     num = 1
     den = 1
     for i in range(n):
@@ -178,11 +165,6 @@ def weyl_dim(weight, n=None):
         raise TheoremViolationError(
             f"Weyl dimension {num}/{den} is not an integer", details={"weight": list(entries)})
     return num // den
-
-
-def mixed_dimension(lam, mu, n):
-    """Dimension of the U(n) irrep with stable-character label (lambda, mu)."""
-    return weyl_dim(mixed_weight(lam, mu, n), n)
 
 
 def _log_int(x):
@@ -202,7 +184,7 @@ def dim_bounds_check(weight, n):
     hw = weight if isinstance(weight, HighestWeight) else HighestWeight(weight)
     if hw.n != n:
         raise ValidationError("weight length must equal n")
-    dim = weyl_dim(hw, n)
+    dim = weyl_dim(hw)
     l1 = hw.l1()
     log_dim = _log_int(dim)
     log_lower = DIM_LOWER_BOUND_CONSTANT * min(l1, n)
@@ -369,33 +351,6 @@ def invariant_projector(k, l, n):
         return out
 
     return ImplicitTensorOperator(n ** (2 * k), apply_fn, apply_fn)
-
-
-def q_projector(lam, mu, n):
-    """The mixed-irrep projector: dimension times the tensor action of the
-    Weingarten-based group-algebra element, realized densely."""
-    k, l = lam.size, mu.size
-    if n < k + l:
-        raise ValidationError(f"need n >= k+l = {k + l}")
-    dim = n ** (k + l)
-    if dim > DENSE_PROJECTOR_CAP:
-        raise UnsupportedSizeError(f"dense dimension {dim} exceeds cap {DENSE_PROJECTOR_CAP}")
-    z = weingarten.z_element(lam, mu)
-    coeffs = z.eval_at(n)
-    d_mixed = mixed_dimension(lam, mu, n)
-    mat = np.zeros((dim, dim), dtype=complex)
-    m = k + l
-    grids = np.indices((n,) * m).reshape(m, -1)   # X = C (+) B, free
-    weights_row = n ** np.arange(k + l - 1, -1, -1)
-    for pi, c in coeffs.items():
-        upper_out = [grids[pi[t]] for t in range(k)]            # A
-        lower_in = [grids[pi[k + t]] for t in range(l)]         # D
-        row_parts = upper_out + [grids[k + t] for t in range(l)]    # (A, B)
-        col_parts = [grids[t] for t in range(k)] + lower_in         # (C, D)
-        rows = sum(w * p for w, p in zip(weights_row, row_parts))
-        cols = sum(w * p for w, p in zip(weights_row, col_parts))
-        np.add.at(mat, (rows, cols), float(c) * d_mixed)
-    return ImplicitTensorOperator.from_matrix(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -605,36 +560,3 @@ def strong_convergence_experiment(r, n, k, l, terms, samples, seed, reference=No
         reference=float(reference),
         deviation=float(mean_norm - reference),
         residuals=residuals)
-
-
-def concentration_probe(terms, k, l, n_list, trials, seed):
-    """Empirical spread of the operator norm across independent samples for
-    each n, checked against the sub-Gaussian Lipschitz scale
-    C(x) K / sqrt(n - 2) where C(x) = sum |coeff| |w|."""
-    if k < 0 or l < 0:
-        raise ValidationError(f"tensor degrees must be >= 0, got k={k}, l={l}")
-    r = max(max(w.rank for w, _ in terms), 1)
-    big_k = k + l
-    c_x = sum(abs(c) * max(len(w), 1) for w, c in terms)
-    rows = []
-    for n in n_list:
-        norms = []
-        for t in range(trials):
-            us = sample_tuple(r, n, substream(seed, "probe", n, t))
-            op = polynomial_operator(terms, us, k, l)
-            norms.append(estimate_norm(op, rng=substream(seed, "probe-restart", n, t)).value)
-        norms = np.array(norms)
-        scale = c_x * big_k / math.sqrt(max(n - 2, 1))
-        deviations = np.abs(norms - norms.mean())
-        flagged = float(np.mean(deviations > CONCENTRATION_FLAG_SCALES * scale))
-        rows.append({
-            "n": n,
-            "trials": trials,
-            "mean": float(norms.mean()),
-            "std": float(norms.std()),
-            "lipschitz_scale": float(scale),
-            "flagged_fraction": flagged,
-        })
-    monotone = rows[-1]["std"] < rows[0]["std"] if len(rows) >= 2 else True
-    return {"rows": rows, "std_decreases": monotone,
-            "c_x": float(c_x), "k_plus_l": big_k}

@@ -49,27 +49,3 @@ def num_cycles(p):
 @lru_cache(maxsize=None)
 def all_perms(m):
     return tuple(itertools.permutations(range(m)))
-
-
-@lru_cache(maxsize=None)
-def transpositions(m):
-    return tuple(
-        tuple(j if k == i else i if k == j else k for k in range(m))
-        for i in range(m) for j in range(i + 1, m)
-    )
-
-
-def embed(p, m, offset):
-    """Embed a permutation of S_d into S_m acting on [offset, offset+d)."""
-    d = len(p)
-    if offset + d > m:
-        raise ValueError("embedding does not fit")
-    img = list(range(m))
-    for i in range(d):
-        img[offset + i] = offset + p[i]
-    return tuple(img)
-
-
-def preserves_blocks(p, k):
-    """True when p maps {0..k-1} into itself (hence lives in S_k x S_rest)."""
-    return all(p[i] < k for i in range(k))

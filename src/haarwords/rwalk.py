@@ -1,6 +1,6 @@
 """Random walks on free groups: exact return probabilities, spectral
-radius brackets, empirical proper-power decay, and rapid-decay
-(Haagerup-type) norm bounds with ball-compression lower bounds.
+radius brackets, empirical proper-power decay, and ball-compression
+lower bounds for reduced free-group norms.
 """
 
 from __future__ import annotations
@@ -492,7 +492,7 @@ def _fit_slope(rows, samples, parity_locked):
 
 
 # ---------------------------------------------------------------------------
-# Haagerup / rapid decay
+# Ball compression
 
 
 def _compressed_norm(a_map, r, radius):
@@ -525,25 +525,6 @@ def _compressed_norm(a_map, r, radius):
 
     op = ImplicitTensorOperator(len(ball), apply_fn, adjoint_fn)
     return estimate_norm(op, tol=COMPRESSION_TOL, rng=7).value
-
-
-def haagerup_check(a_map, radius=None):
-    """For a finitely supported a, compare the compressed-ball lower bound
-    for ||lambda(a)|| with the rapid-decay upper bound 3 (1 + q^2) ||a||_2.
-    Returns {l2, upper, lower, radius, q}."""
-    if not a_map:
-        raise ValidationError("empty support")
-    q = max(len(w) for w in a_map)
-    r = max(max((w.rank for w in a_map), default=1), 1)
-    l2 = math.sqrt(sum(abs(c) ** 2 for c in a_map.values()))
-    upper = 3.0 * (1 + q * q) * l2
-    if radius is None:
-        radius = q + 3
-    lower = _compressed_norm(a_map, r, radius)
-    record = {"l2": l2, "upper": upper, "lower": lower, "radius": radius, "q": q}
-    if lower > upper * (1 + 1e-9):
-        raise TheoremViolationError("rapid-decay upper bound violated", details=record)
-    return record
 
 
 def reduced_norm_lower_bound(terms, r):

@@ -211,18 +211,6 @@ def char_table(k):
     return CharTable(k)
 
 
-def schur_dim_poly(lam):
-    """The polynomial irrep dimension of U(n) as a rational function of n:
-    prod over cells (n + content) / prod of hook lengths."""
-    num = Polynomial((1,))
-    for c in lam.contents():
-        num = num * Polynomial((c, 1))
-    den = 1
-    for h in lam.hooks():
-        den *= h
-    return RationalFunction(num, Polynomial((den,)))
-
-
 def _lr_fill(shape, inner, weight):
     """Count LR skew tableaux of shape/inner with content weight.
 

@@ -26,7 +26,7 @@ from .errors import (ResourceCapError, StructureViolationError, TheoremViolation
 from .freegroup import Word, is_proper_power, whitehead_minimal
 from .ratfunc import Polynomial, RationalFunction
 from .symgroup import Partition, character, koike_expand
-from .weingarten import common_denominator, lifted_wg, wg
+from .weingarten import common_denominator, lifted_wg
 
 # Occurrences of one generator: the option table of `_pairing_options`
 # holds (p!)^2 rows of 2p node indices, 50 MB at p = 6 and 2.8 GB at p = 7.
@@ -209,18 +209,21 @@ def _loop_polynomials(table, gluing):
 
 def _integrate(degrees, polys, n, scale=1):
     """scale * sum over cycle types cts of polys[cts](n) * prod_g
-    Wg_{L_g}(ct_g): a Fraction at integer n, each Weingarten value
-    evaluated once; a RationalFunction of n when n is None, whose
-    Weingarten numerators over D_L add up and normalise once."""
+    Wg_{L_g}(ct_g), with each Wg_L(ct) written as its numerator over the
+    shared denominator D_L (`lifted_wg`): the numerators multiply and add,
+    and the sum is divided by prod_g D_{L_g} once.  A Fraction at integer
+    n, each distinct numerator evaluated at n once; a RationalFunction of
+    n when n is None."""
     if n is not None:
-        nf = Fraction(n)
+        values = {key: lifted_wg(*key)(n)
+                  for cts in polys for key in zip(degrees, cts)}
         total = Fraction(0)
         for cts, coeffs in polys.items():
             term = Fraction(sum(c * n**i for i, c in enumerate(coeffs)))
-            for L, ct in zip(degrees, cts):
-                term *= wg(L, ct)(nf)
+            for key in zip(degrees, cts):
+                term *= values[key]
             total += term
-        return total * scale
+        return total * scale / math.prod(common_denominator(L)(n) for L in degrees)
     num = Polynomial()
     for cts, coeffs in polys.items():
         term = Polynomial(coeffs)

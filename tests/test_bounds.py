@@ -7,6 +7,7 @@ import pytest
 from haarwords import bounds
 from haarwords.errors import ValidationError
 from haarwords.ratfunc import Polynomial
+from oracles import epsilon_net_check, markov_check
 
 CHEB_T8 = [1.0, 0.0, -32.0, 0.0, 160.0, 0.0, -256.0, 0.0, 128.0]
 
@@ -18,10 +19,10 @@ def test_g_polynomial_small_cases():
 
 
 def test_g_eval_examples():
-    assert bounds.g_eval(1, 0) == 1.0
-    assert abs(bounds.g_eval(2, Fraction(1, 10)) - 0.940896) < 1e-12
+    assert bounds.g_polynomial(1)(0) == 1.0
+    assert abs(bounds.g_polynomial(2)(Fraction(1, 10)) - 0.940896) < 1e-12
     ts = np.linspace(0, 1 / 200, 100)
-    vals = [bounds.g_eval(10, Fraction(t).limit_denominator(10**9)) for t in ts]
+    vals = [bounds.g_polynomial(10)(Fraction(t).limit_denominator(10**9)) for t in ts]
     assert all(0.5 <= v <= 1.0 for v in vals)
 
 
@@ -30,10 +31,10 @@ def test_g_derivative_vs_finite_differences(i):
     L = 5
     h = 1e-5
     for t in np.linspace(1e-4, 1 / (2 * L * L) - 1e-4, 7):
-        stencil = [bounds.g_eval(L, Fraction(t + k * h).limit_denominator(10**12),
-                                 derivative_order=i - 1) for k in (-1, 1)]
+        stencil = [bounds.g_polynomial(L).derivative(i - 1)(
+                       Fraction(t + k * h).limit_denominator(10**12)) for k in (-1, 1)]
         fd = (stencil[1] - stencil[0]) / (2 * h)
-        exact = bounds.g_eval(L, Fraction(t).limit_denominator(10**12), derivative_order=i)
+        exact = bounds.g_polynomial(L).derivative(i)(Fraction(t).limit_denominator(10**12))
         assert abs(fd - exact) <= 1e-6 * max(abs(exact), 1.0) + 1e-4
 
 
@@ -48,13 +49,13 @@ def test_g_derivative_bound_check_examples():
 
 
 def test_markov_chebyshev_extremal():
-    rec = bounds.markov_check(CHEB_T8, 1)
+    rec = markov_check(CHEB_T8, 1)
     assert abs(rec["lhs"] - 64.0) < 1e-9
     assert abs(rec["ratio"] - 1.0) < 1e-9
 
 
 def test_markov_linear_equality():
-    rec = bounds.markov_check([0.0, 1.0], 1)
+    rec = markov_check([0.0, 1.0], 1)
     assert abs(rec["ratio"] - 1.0) < 1e-12
 
 
@@ -65,21 +66,21 @@ def test_markov_random_polynomials():
         coeffs = rng.standard_normal(deg + 1)
         coeffs[-1] += np.sign(coeffs[-1]) + 1e-3
         for k in range(1, min(deg, 3) + 1):
-            rec = bounds.markov_check(list(coeffs), k, interval=(-1.0, 1.0))
+            rec = markov_check(list(coeffs), k, interval=(-1.0, 1.0))
             assert rec["ratio"] <= 1 + 1e-9
 
 
 def test_markov_scaled_interval():
-    rec = bounds.markov_check(CHEB_T8, 2, interval=(0.0, 0.5))
+    rec = markov_check(CHEB_T8, 2, interval=(0.0, 0.5))
     assert rec["ratio"] <= 1 + 1e-9
     with pytest.raises(ValidationError):
-        bounds.markov_check(CHEB_T8, 0)
+        markov_check(CHEB_T8, 0)
 
 
 def test_epsilon_net_constant_and_square():
-    rec = bounds.epsilon_net_check([3.0], 5)
+    rec = epsilon_net_check([3.0], 5)
     assert rec["net_ok"]
-    rec = bounds.epsilon_net_check([0.0, 0.0, 1.0], 4)
+    rec = epsilon_net_check([0.0, 0.0, 1.0], 4)
     assert rec["net_ok"]
     assert all(c["ok"] for c in rec["derivative_checks"])
 
@@ -88,11 +89,35 @@ def test_epsilon_net_random_quintics():
     rng = np.random.default_rng(8)
     for _ in range(30):
         coeffs = list(rng.standard_normal(6))
-        rec = bounds.epsilon_net_check(coeffs, 25)
+        rec = epsilon_net_check(coeffs, 25)
         assert rec["net_ok"]
         assert all(c["ok"] for c in rec["derivative_checks"])
     with pytest.raises(ValidationError):
-        bounds.epsilon_net_check(coeffs, 24)
+        epsilon_net_check(coeffs, 24)
+
+
+def fit_decay_constant(profile, ts):
+    """M = inf over the grid of -log|mu-hat(t)| * log(2+t)^{1+eps} / t; a
+    positive fit certifies quasi-exponential decay on the grid."""
+    best = math.inf
+    for t in ts:
+        t = float(t)
+        if t <= 0:
+            continue
+        v = abs(bounds.bump_fourier(profile, t))
+        if v == 0.0:
+            continue
+        m = -math.log(v) * math.log(2.0 + t) ** (1.0 + profile.epsilon) / t
+        best = min(best, m)
+    return best
+
+
+def periodized_coefficient(profile, alpha, k):
+    """Fourier coefficient of the 2-pi periodization scaled to (-alpha, alpha):
+    phi_alpha-hat(k) = alpha/(2 pi) mu-hat(k alpha)."""
+    if not 0 < alpha < math.pi:
+        raise ValidationError("alpha must lie in (0, pi)")
+    return alpha / (2 * math.pi) * bounds.bump_fourier(profile, k * alpha)
 
 
 @pytest.fixture(scope="module")
@@ -126,21 +151,21 @@ def test_bump_envelope_and_decay_fit(profile):
     ts = np.geomspace(1.0, 10000.0, 40)
     check = bounds.bump_envelope_check(profile, ts)
     assert check["all_ok"]
-    m = bounds.fit_decay_constant(profile, ts)
+    m = fit_decay_constant(profile, ts)
     assert m > 0
 
 
 def test_periodized_coefficients(profile):
     alpha = math.pi / 3
     ts = np.geomspace(1.0, 1100.0, 60)
-    m = bounds.fit_decay_constant(profile, list(ts) + [k * alpha for k in range(1, 40)])
+    m = fit_decay_constant(profile, list(ts) + [k * alpha for k in range(1, 40)])
     for k in list(range(1, 30)) + [100, 500, 1000]:
-        coeff = bounds.periodized_coefficient(profile, alpha, k)
+        coeff = periodized_coefficient(profile, alpha, k)
         envelope = math.exp(-m * abs(k) * alpha /
                             math.log(2 + abs(k) * alpha) ** 1.5)
         assert abs(coeff) <= envelope * (1 + 1e-9)
     with pytest.raises(ValidationError):
-        bounds.periodized_coefficient(profile, 4.0, 1)
+        periodized_coefficient(profile, 4.0, 1)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])

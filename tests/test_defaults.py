@@ -11,36 +11,33 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "haarwords"
 
 DEFAULTED = {
-    ("bounds.g_eval", "derivative_order"),            # tests/test_bounds.py
-    ("bounds.markov_check", "interval"),              # tests only (ROADMAP item 15)
     ("errors.TheoremViolationError.__init__", "details"),  # every theorem check
     ("errors.ConvergenceError.__init__", "best_estimate"),  # montecarlo.estimate_norm
     ("freegroup.Word.__init__", "rank"),              # Word.__mul__, WalkMeasure.lazy_uniform
-    ("freegroup.parse_word", "rank"),                 # tests only (ROADMAP item 15)
+    # how a test reaches RankError: test_parse_errors_name_offset_and_rank
+    ("freegroup.parse_word", "rank"),
     ("freegroup.RankedBall.__init__", "cap"),         # rwalk._compressed_norm, freegroup.ball
     ("freegroup.ball", "cap"),                        # tests/test_freegroup.py
     ("montecarlo.sample_tuple", "group"),             # montecarlo._haar_chunks
     ("montecarlo.sample_tuple", "batch"),             # montecarlo._haar_chunks
-    ("montecarlo.weyl_dim", "n"),                     # montecarlo.mixed_dimension
     ("montecarlo.estimate_norm", "tol"),              # strong_convergence_experiment, rwalk
-    ("montecarlo.estimate_norm", "max_iter"),         # tests only (ROADMAP item 15)
+    # how a test reaches ConvergenceError: test_estimate_norm_raises_with_best_estimate
+    ("montecarlo.estimate_norm", "max_iter"),
     ("montecarlo.estimate_norm", "rng"),              # strong_convergence_experiment, rwalk
     ("montecarlo.MCResult.within", "k_se"),           # bench/cases.py
     ("montecarlo.mc_expect", "group"),                # bench/cases.py
     ("montecarlo.strong_convergence_experiment", "reference"),  # cli strongconv --reference
     ("ratfunc.Polynomial.__init__", "coeffs"),        # bounds.g_polynomial
-    ("ratfunc.Polynomial.derivative", "order"),       # bounds.g_eval
+    ("ratfunc.Polynomial.derivative", "order"),       # bounds._g_derivative_float
     ("ratfunc.RationalFunction.__init__", "den"),     # wordint._integrate
     ("rwalk.WalkMeasure.__init__", "rank"),           # WalkMeasure.uniform_generators
     ("rwalk._convolve_distribution", "cap"),          # rwalk.spectral_radius
     ("rwalk._convolve_distribution", "stop_at_cap"),  # rwalk.spectral_radius
     ("rwalk.spectral_radius", "ball_radius"),         # bench/cases.py
     ("rwalk._vectorized_proper_power", "shifts"),     # rwalk.proper_power_stats
-    ("rwalk.haagerup_check", "radius"),               # tests only (ROADMAP item 15)
-    ("selftest.gram_inversion", "L_max"),             # tests only (ROADMAP item 15)
+    # L_max=3 bounds the cost of test_gram_inversion_catches_one_wrong_weingarten_value
+    ("selftest.gram_inversion", "L_max"),
     ("symgroup.Partition.__init__", "parts"),         # cli._parse_partition
-    ("weingarten.central_projection", "m"),           # weingarten.z_element
-    ("weingarten.central_projection", "offset"),      # weingarten.z_element
     ("wordint._integrate", "scale"),                  # wordint._expect_raw
     ("wordint.exact_word_moment", "n"),               # selftest.monomial_agreement
     ("wordint.expect_stable_character", "n"),         # cli expect --n

@@ -11,19 +11,20 @@ from haarwords import freegroup as fg
 from haarwords import montecarlo as mc
 from haarwords import perms, selftest, weingarten
 from haarwords.errors import ConvergenceError, ValidationError
-from haarwords.symgroup import Partition, koike_expand, partitions_of, schur_dim_poly
+from haarwords.symgroup import Partition, koike_expand, partitions_of
+from oracles import q_projector, schur_dim_poly
 
 COMM = fg.parse_word("abAB")
 
 
 def random_unitary(n, seed):
-    return mc.haar_unitary(n, np.random.default_rng(seed))
+    return mc.sample_tuple(1, n, np.random.default_rng(seed))[0]
 
 
 def test_haar_unitary_residual_and_determinism():
-    u = mc.haar_unitary(7, np.random.default_rng(0))
+    u = mc.sample_tuple(1, 7, np.random.default_rng(0))[0]
     assert mc.unitarity_residual(u) < 1e-12
-    v = mc.haar_unitary(7, np.random.default_rng(0))
+    v = mc.sample_tuple(1, 7, np.random.default_rng(0))[0]
     assert np.array_equal(u, v)
 
 
@@ -32,13 +33,13 @@ def test_haar_phase_mean_n1():
     vals = mc.sample_tuple(1, 1, mc.substream(123, "phase"), batch=100000)[0][:, 0, 0]
     assert abs(vals.mean()) < 0.02
     rng = mc.substream(123, "phase")
-    assert [mc.haar_unitary(1, rng)[0, 0] for _ in range(5)] == list(vals[:5])
+    assert [mc.sample_tuple(1, 1, rng)[0][0, 0] for _ in range(5)] == list(vals[:5])
 
 
 def test_haar_trace_moments():
     rng = mc.substream(42, "tr")
     n, samples = 10, 20000
-    traces = np.array([np.trace(mc.haar_unitary(n, rng)) for _ in range(samples)])
+    traces = np.array([np.trace(mc.sample_tuple(1, n, rng)[0]) for _ in range(samples)])
     se1 = np.abs(traces).std() / math.sqrt(samples)
     assert abs(traces.mean()) <= 4 * se1
     sq = np.abs(traces) ** 2
@@ -48,10 +49,10 @@ def test_haar_trace_moments():
 def test_special_unitary_determinant_and_mean_trace():
     rng = mc.substream(9, "su")
     for _ in range(50):
-        v = mc.haar_special_unitary(3, rng)
+        v = mc.sample_tuple(1, 3, rng, group="SU")[0]
         assert abs(np.linalg.det(v) - 1) < 1e-10
         assert mc.unitarity_residual(v) < 1e-12
-    vals = np.array([np.trace(mc.haar_special_unitary(3, rng)) for _ in range(20000)])
+    vals = np.array([np.trace(mc.sample_tuple(1, 3, rng, group="SU")[0]) for _ in range(20000)])
     se = vals.std() / math.sqrt(len(vals))
     assert abs(vals.mean()) <= 4 * se  # matches the U(3) value 0
 
@@ -71,7 +72,7 @@ def test_batched_draws_match_sequential_draws(n):
     rng, ref = np.random.default_rng(8), np.random.default_rng(8)
     for s in range(7):
         for j in range(2):
-            u = mc.haar_unitary(n, rng)
+            u = mc.sample_tuple(1, n, rng)[0]
             assert np.array_equal(batch[j][s], u)
             assert np.array_equal(u, mezzadri_unitary(n, ref))
     if n < 2:
@@ -263,7 +264,7 @@ def test_mixed_dimension_consistent_with_expansion():
             expansion = koike_expand(lam.parts, mu.parts)
             total = sum(c * schur_dim_poly(l2)(Fraction(n)) * schur_dim_poly(m2)(Fraction(n))
                         for (l2, m2), c in expansion.items())
-            assert mc.mixed_dimension(lam, mu, n) == total
+            assert mc.weyl_dim(mc.mixed_weight(lam, mu, n)) == total
 
 
 def test_highest_weight_normalization():
@@ -290,7 +291,7 @@ def test_dim_bounds_check_small():
 def test_representation_property():
     rng = np.random.default_rng(11)
     for n, k, l in ((4, 2, 1), (8, 1, 1), (3, 3, 0)):
-        u, v = mc.haar_unitary(n, rng), mc.haar_unitary(n, rng)
+        u, v = mc.sample_tuple(1, n, rng)[0], mc.sample_tuple(1, n, rng)[0]
         op_uv = mc.tensor_representation(u @ v, k, l)
         op_u = mc.tensor_representation(u, k, l)
         op_v = mc.tensor_representation(v, k, l)
@@ -304,7 +305,7 @@ def test_representation_property():
 def test_tensor_operator_adjoint_pairing():
     rng = np.random.default_rng(4)
     n, k, l = 3, 1, 2
-    op = mc.tensor_representation(mc.haar_unitary(n, rng), k, l)
+    op = mc.tensor_representation(mc.sample_tuple(1, n, rng)[0], k, l)
     x = rng.standard_normal(n ** 3) + 1j * rng.standard_normal(n ** 3)
     y = rng.standard_normal(n ** 3) + 1j * rng.standard_normal(n ** 3)
     assert abs(np.vdot(y, op.apply(x)) - np.vdot(op.adjoint().apply(y), x)) < 1e-10
@@ -370,7 +371,7 @@ def test_invariant_projector_ranks_and_commutation():
     d2 = p2.to_dense()
     assert abs(np.trace(d2).real - 2) < 1e-9
     assert np.max(np.abs(d2 @ d2 - d2)) < 1e-9
-    u = mc.haar_unitary(4, rng)
+    u = mc.sample_tuple(1, 4, rng)[0]
     r = mc.tensor_representation(u, 2, 2)
     vec = rng.standard_normal(256) + 1j * rng.standard_normal(256)
     lhs = p2.apply(r.apply(vec))
@@ -379,13 +380,13 @@ def test_invariant_projector_ranks_and_commutation():
 
 
 def test_q_projector_identities():
-    q = mc.q_projector(Partition((1,)), Partition((1,)), 4)
+    q = q_projector(Partition((1,)), Partition((1,)), 4)
     m = q.matrix
     assert abs(np.trace(m) - 15) < 1e-10
     assert np.max(np.abs(m @ m - m)) < 1e-10
     assert np.max(np.abs(m - m.conj().T)) < 1e-10
     rng = np.random.default_rng(15)
-    u = mc.haar_unitary(4, rng)
+    u = mc.sample_tuple(1, 4, rng)[0]
     r = mc.tensor_representation(u, 1, 1).to_dense()
     assert np.max(np.abs(m @ r - r @ m)) < 1e-10
     t = m.reshape(4, 4, 4, 4)
@@ -394,9 +395,10 @@ def test_q_projector_identities():
 
 
 def test_q_projector_trace_other_labels():
-    q = mc.q_projector(Partition((2,)), Partition(()), 3)
-    assert abs(np.trace(q.matrix) - mc.mixed_dimension(Partition((2,)), Partition(()), 3)) < 1e-9
-    q = mc.q_projector(Partition((1,)), Partition(()), 5)
+    q = q_projector(Partition((2,)), Partition(()), 3)
+    dim = mc.weyl_dim(mc.mixed_weight(Partition((2,)), Partition(()), 3))
+    assert abs(np.trace(q.matrix) - dim) < 1e-9
+    q = q_projector(Partition((1,)), Partition(()), 5)
     assert np.max(np.abs(q.matrix - np.eye(5))) < 1e-12
 
 
@@ -409,7 +411,7 @@ def test_estimate_norm_basics():
 
 
 def test_estimate_norm_u_plus_ustar():
-    u = mc.haar_unitary(200, np.random.default_rng(123))
+    u = mc.sample_tuple(1, 200, np.random.default_rng(123))[0]
     op = mc.ImplicitTensorOperator.from_matrix(u + u.conj().T)
     est = mc.estimate_norm(op, tol=5e-2, max_iter=3000, rng=5)
     assert 1.9 <= est.value <= 2.0 + 1e-9
@@ -556,9 +558,45 @@ def test_strong_convergence_degenerate_scalar():
     assert rep.norm_estimates == [1.0, 1.0]
 
 
+CONCENTRATION_FLAG_SCALES = 10.0  # a norm this many Lipschitz scales off its mean is flagged
+
+
+def concentration_probe(terms, k, l, n_list, trials, seed):
+    """Empirical spread of the operator norm across independent samples for
+    each n, checked against the sub-Gaussian Lipschitz scale
+    C(x) K / sqrt(n - 2) where C(x) = sum |coeff| |w|."""
+    if k < 0 or l < 0:
+        raise ValidationError(f"tensor degrees must be >= 0, got k={k}, l={l}")
+    r = max(max(w.rank for w, _ in terms), 1)
+    big_k = k + l
+    c_x = sum(abs(c) * max(len(w), 1) for w, c in terms)
+    rows = []
+    for n in n_list:
+        norms = []
+        for t in range(trials):
+            us = mc.sample_tuple(r, n, mc.substream(seed, "probe", n, t))
+            op = mc.polynomial_operator(terms, us, k, l)
+            norms.append(mc.estimate_norm(op, rng=mc.substream(seed, "probe-restart", n, t)).value)
+        norms = np.array(norms)
+        scale = c_x * big_k / math.sqrt(max(n - 2, 1))
+        deviations = np.abs(norms - norms.mean())
+        flagged = float(np.mean(deviations > CONCENTRATION_FLAG_SCALES * scale))
+        rows.append({
+            "n": n,
+            "trials": trials,
+            "mean": float(norms.mean()),
+            "std": float(norms.std()),
+            "lipschitz_scale": float(scale),
+            "flagged_fraction": flagged,
+        })
+    monotone = rows[-1]["std"] < rows[0]["std"] if len(rows) >= 2 else True
+    return {"rows": rows, "std_decreases": monotone,
+            "c_x": float(c_x), "k_plus_l": big_k}
+
+
 def test_concentration_probe_shape():
     terms = [(fg.parse_word(s), 1.0) for s in ("a", "A", "b", "B")]
-    report = mc.concentration_probe(terms, 1, 0, [30, 100], trials=8, seed=21)
+    report = concentration_probe(terms, 1, 0, [30, 100], trials=8, seed=21)
     assert report["std_decreases"]
     for row in report["rows"]:
         assert row["flagged_fraction"] <= 0.05 or row["std"] < row["lipschitz_scale"]

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from haarwords import freegroup as fg
 from haarwords import rwalk
-from haarwords.errors import ResourceCapError, UnsupportedSizeError, ValidationError
+from haarwords.errors import (ResourceCapError, TheoremViolationError, UnsupportedSizeError,
+                              ValidationError)
 from haarwords.freegroup import Word
 
 
@@ -243,15 +244,34 @@ def test_rank_zero_norm_bound_terminates():
     assert rwalk.reduced_norm_lower_bound([(Word(()), 2.0)], 0) == pytest.approx(2.0)
 
 
+def haagerup_check(a_map, radius=None):
+    """For a finitely supported a, compare the compressed-ball lower bound
+    for ||lambda(a)|| with the rapid-decay upper bound 3 (1 + q^2) ||a||_2.
+    Returns {l2, upper, lower, radius, q}."""
+    if not a_map:
+        raise ValidationError("empty support")
+    q = max(len(w) for w in a_map)
+    r = max(max((w.rank for w in a_map), default=1), 1)
+    l2 = math.sqrt(sum(abs(c) ** 2 for c in a_map.values()))
+    upper = 3.0 * (1 + q * q) * l2
+    if radius is None:
+        radius = q + 3
+    lower = rwalk._compressed_norm(a_map, r, radius)
+    record = {"l2": l2, "upper": upper, "lower": lower, "radius": radius, "q": q}
+    if lower > upper * (1 + 1e-9):
+        raise TheoremViolationError("rapid-decay upper bound violated", details=record)
+    return record
+
+
 def test_haagerup_check_examples():
-    rec = rwalk.haagerup_check({fg.parse_word("a"): 1.0})
+    rec = haagerup_check({fg.parse_word("a"): 1.0})
     assert abs(rec["l2"] - 1) < 1e-12
     assert abs(rec["upper"] - 6) < 1e-12
     assert rec["lower"] <= 1.0 + 1e-9 and rec["lower"] > 0.99
-    rec = rwalk.haagerup_check({Word(()): 1.0})
+    rec = haagerup_check({Word(()): 1.0})
     assert rec["upper"] == 3.0 and abs(rec["lower"] - 1.0) < 1e-9
     gens = {fg.parse_word(s): 1.0 for s in ("a", "A", "b", "B")}
-    rec = rwalk.haagerup_check(gens, radius=9)
+    rec = haagerup_check(gens, radius=9)
     assert rec["lower"] > 3.25
     assert rec["lower"] <= 2 * math.sqrt(3) + 1e-6
     assert rec["lower"] <= rec["upper"]

@@ -13,14 +13,14 @@ from haarwords import cli
 from haarwords import freegroup as fg
 from haarwords import perms
 from haarwords import wordint as wi
-from haarwords.montecarlo import mixed_dimension
+from haarwords.montecarlo import mixed_weight, weyl_dim
 from haarwords.bounds import g_polynomial
 from haarwords.errors import (StructureViolationError, TheoremViolationError,
                               UnsupportedSizeError, ValidationError)
 from haarwords.ratfunc import Polynomial, RationalFunction, solve_exact
-from haarwords.symgroup import (Partition, koike_expand, partitions_of,
-                                powersum_schur_basechange, schur_dim_poly)
+from haarwords.symgroup import Partition, koike_expand, partitions_of, powersum_schur_basechange
 from haarwords.weingarten import wg
+from oracles import schur_dim_poly
 
 A = fg.parse_word("a")
 B = fg.parse_word("b")
@@ -335,7 +335,7 @@ def test_commutator_mixed_character_is_inverse_dimension(lam, mu):
     # without the term table.  n = 4 >= l(lambda) + l(mu) for every label
     # with K <= 4, so each is irreducible at both n
     for n in (4, 5):
-        expected = Fraction(1, mixed_dimension(lam, mu, n))
+        expected = Fraction(1, weyl_dim(mixed_weight(lam, mu, n)))
         assert wi.expect_stable_character(lam, mu, COMM, n=n) == expected
 
 
