@@ -166,6 +166,9 @@ def _cmd_strongconv(args):
     if args.n is None and not args.n_list:
         raise ValidationError("strongconv needs --n or --n-list")
     n_values = ([int(x) for x in args.n_list.split(",")] if args.n_list else [args.n])
+    if reference is None:
+        from . import rwalk
+        reference = rwalk.reduced_norm_lower_bound(terms, args.r)
     reports = []
     for n in n_values:
         reports.append(montecarlo.strong_convergence_experiment(
@@ -190,10 +193,8 @@ def _cmd_rwalk(args):
         raise ValidationError(f"--samples must be >= 1, got {args.samples}")
     if args.measure == "uniform-gen":
         mu = rwalk.WalkMeasure.uniform_generators(args.r)
-    elif args.measure == "lazy-uniform":
-        mu = rwalk.WalkMeasure.lazy_uniform(args.r)
     else:
-        raise ValidationError(f"unknown measure {args.measure!r}")
+        mu = rwalk.WalkMeasure.lazy_uniform(args.r)
     stats = rwalk.proper_power_stats(mu, args.steps, args.samples, args.seed)
     # exact up to RADIAL_EXACT_STEP_CAP steps; later rows leave the cell empty
     returns = stats.return_probabilities
@@ -206,25 +207,28 @@ def _cmd_rwalk(args):
     return EXIT_OK
 
 
-def _cmd_bounds(args):
+def _cmd_gcheck(args):
     from . import bounds
 
-    if args.bounds_cmd == "gcheck":
-        record = bounds.g_derivative_bound_check(args.L, args.i)
-        record["type"] = "float"
-        _emit_json(record)
-        return EXIT_OK
-    if args.bounds_cmd == "bump":
-        if not (math.isfinite(args.tmax) and args.tmax > 0):
-            raise ValidationError(f"--tmax must be finite and positive, got {args.tmax}")
-        profile = bounds.BumpProfile(args.eps)
-        import numpy as np
-        ts = np.geomspace(1.0, args.tmax, args.points)
-        check = bounds.bump_envelope_check(profile, ts)
-        _emit_csv(["t", "fourier", "envelope"],
-                  [[row["t"], row["fourier"], row["envelope"]] for row in check["rows"]])
-        return EXIT_OK if check["all_ok"] else EXIT_THEOREM
-    raise ValidationError("unknown bounds subcommand")
+    record = bounds.g_derivative_bound_check(args.L, args.i)
+    record["type"] = "float"
+    _emit_json(record)
+    return EXIT_OK
+
+
+def _cmd_bump(args):
+    import numpy as np
+
+    from . import bounds
+
+    if not (math.isfinite(args.tmax) and args.tmax > 0):
+        raise ValidationError(f"--tmax must be finite and positive, got {args.tmax}")
+    profile = bounds.BumpProfile(args.eps)
+    ts = np.geomspace(1.0, args.tmax, args.points)
+    check = bounds.bump_envelope_check(profile, ts)
+    _emit_csv(["t", "fourier", "envelope"],
+              [[row["t"], row["fourier"], row["envelope"]] for row in check["rows"]])
+    return EXIT_OK if check["all_ok"] else EXIT_THEOREM
 
 
 def _cmd_dims(args):
@@ -341,12 +345,12 @@ def build_parser():
     g = bsub.add_parser("gcheck", help="pole-clearing polynomial derivative bounds")
     g.add_argument("--L", type=int, required=True)
     g.add_argument("--i", type=int, required=True)
-    g.set_defaults(func=_cmd_bounds)
+    g.set_defaults(func=_cmd_gcheck)
     b = bsub.add_parser("bump", help="bump-function Fourier decay table")
     b.add_argument("--eps", type=float, required=True)
     b.add_argument("--tmax", type=float, default=10000.0)
     b.add_argument("--points", type=int, default=40)
-    b.set_defaults(func=_cmd_bounds)
+    b.set_defaults(func=_cmd_bump)
 
     p = sub.add_parser("dims", help="Weyl dimension bound checks")
     p.add_argument("--n", type=int, required=True)

@@ -8,7 +8,10 @@ generators.  Words are always stored freely reduced and are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+# Unused here: it keeps the dataclasses -> inspect import (about 6 ms) in
+# package import, where `cli` pulls this module in, instead of in the first
+# call that loads a module defining a dataclass.
+import dataclasses  # noqa: F401
 from functools import lru_cache
 from itertools import combinations
 
@@ -129,48 +132,65 @@ def parse_word(text, rank=None):
     return Word(letters, rank)
 
 
-@dataclass(frozen=True)
-class CyclicForm:
-    """w = conjugator * core * conjugator^-1 with core cyclically reduced."""
-
-    core: Word
-    conjugator: Word
-
-    def recompose(self):
-        return self.conjugator * self.core * self.conjugator.inverse()
-
-
-def cyclic_reduce(w):
-    """Strip matching end pairs until the core is cyclically reduced."""
-    core = _cyclic_core(w.letters)
-    conjugator = w.letters[:(len(w) - len(core)) // 2]
-    return CyclicForm(Word(core, w.rank), Word(conjugator, w.rank))
+def _prime_shifts(n):
+    """(n + 1, k) table whose row L holds L / q for each prime q dividing L,
+    then zeros; k >= 1 is the most distinct primes of any L <= n."""
+    cols = [[] for _ in range(n + 1)]
+    for q in range(2, n + 1):
+        if not cols[q]:  # no smaller prime divides q
+            for L in range(q, n + 1, q):
+                cols[L].append(L // q)
+    table = np.zeros((n + 1, max(1, *map(len, cols))), dtype=np.int64)
+    for L, shifts in enumerate(cols):
+        table[L, :len(shifts)] = shifts
+    return table
 
 
-def is_proper_power(w):
-    """Return (root, exponent) with exponent >= 2 maximal and root^exponent == w,
-    or None.  The identity is by convention not a proper power."""
-    form = cyclic_reduce(w)
-    core = form.core.letters
-    m = len(core)
-    if m == 0:
-        return None
-    # Smallest period of the cyclically reduced core via the KMP failure
-    # function; a proper power exists iff the period properly divides m.
-    fail = [0] * m
-    k = 0
-    for i in range(1, m):
-        while k and core[i] != core[k]:
-            k = fail[k - 1]
-        if core[i] == core[k]:
-            k += 1
-        fail[i] = k
-    period = m - fail[m - 1]
-    if period == m or m % period != 0:
-        return None
-    exponent = m // period
-    root = form.conjugator * Word(core[:period], w.rank) * form.conjugator.inverse()
-    return root, exponent
+def proper_power_mask(words, lengths, shifts=None):
+    """Boolean mask of which rows of an (N, width) letters array are proper
+    powers; row i is the reduced word of its first lengths[i] letters, and
+    the identity is not a proper power.
+
+    A row's cyclically reduced core c of length L is a proper power iff it
+    equals its rotation by L/q for some prime q dividing L.  Both the strip
+    of matching end letters and each rotation compare go one letter column
+    at a time, on the rows that still match.  `shifts` is a
+    `_prime_shifts` table covering the longest row; letters past a row's
+    length are never read."""
+    samples, width = words.shape
+    out = np.zeros(samples, dtype=bool)
+    if shifts is None:
+        shifts = _prime_shifts(int(lengths.max(initial=0)))
+    flat = words.reshape(-1)
+    # cyclic reduction: lo and hi are the flat indices of the next end pair
+    strip = np.zeros(samples, dtype=np.int64)
+    rows = np.flatnonzero(lengths >= 3)
+    lo = rows * width
+    hi = lo + lengths[rows] - 1
+    while len(rows):
+        keep = (flat[lo] == -flat[hi]) & (hi - lo >= 2)
+        rows, lo, hi = rows[keep], lo[keep] + 1, hi[keep] - 1
+        strip[rows] += 1
+    core = lengths - 2 * strip
+    # one candidate (row, prime) pair per prime dividing the core length;
+    # every core index below pos equals the letter `shift` further on, and
+    # the core is a power once pos reaches end = start + L - shift
+    pos, shift, end = [], [], []
+    for k in range(shifts.shape[1]):
+        s = shifts[core, k]
+        rows = np.flatnonzero(s)
+        pos.append(rows * width + strip[rows])
+        shift.append(s[rows])
+        end.append(pos[-1] + core[rows] - shift[-1])
+    pos, shift, end = np.concatenate(pos), np.concatenate(shift), np.concatenate(end)
+    while len(pos):
+        same = flat[pos] == flat[pos + shift]
+        pos, shift, end = pos[same] + 1, shift[same], end[same]
+        done = pos == end
+        out[pos[done] // width] = True
+        keep = ~done
+        pos, shift, end = pos[keep], shift[keep], end[keep]
+    return out
 
 
 def _cyclic_core(letters):
@@ -262,18 +282,18 @@ def whitehead_minimal(w):
     return Word(_minimal_letters(w.letters))
 
 
-def evaluate_word(w, matrices):
-    """Product of the given square matrices along the word.
+def evaluate_word(w, unitaries):
+    """Product of the given unitaries along the word.
 
-    `matrices` holds one matrix per generator: each (n, n), or each a
+    `unitaries` holds one matrix per generator: each (n, n), or each a
     stack (..., n, n) with the same leading batch axes, in which case the
-    word is evaluated on every tuple of the batch.  Inverse letters use the
-    adjoint of each matrix that is unitary (to within 1e-10) and a true
-    inverse otherwise.
+    word is evaluated on every tuple of the batch.  An inverse letter is the
+    adjoint, so the matrices must be unitary; nothing here checks that.
+    `montecarlo.sample_tuple` checks every draw to 1e-12.
     """
-    if w.rank > len(matrices):
-        raise RankError(f"word needs {w.rank} matrices, got {len(matrices)}")
-    mats = [np.asarray(m, dtype=complex) for m in matrices]
+    if w.rank > len(unitaries):
+        raise RankError(f"word needs {w.rank} matrices, got {len(unitaries)}")
+    mats = [np.asarray(m, dtype=complex) for m in unitaries]
     if not mats:
         raise ValidationError("at least one matrix required to fix the dimension")
     shape = mats[0].shape
@@ -284,18 +304,13 @@ def evaluate_word(w, matrices):
     if not w.letters:
         return np.broadcast_to(np.eye(n, dtype=complex), shape).copy()
     out = None
-    inverses = {}
+    adjoints = {}
     for x in w.letters:
         u = mats[abs(x) - 1]
         if x < 0:
-            key = abs(x) - 1
-            if key not in inverses:
-                adjoint = u.swapaxes(-1, -2).conj()
-                unitary = np.max(np.abs(adjoint @ u - np.eye(n)), axis=(-2, -1)) < 1e-10
-                if not np.all(unitary):
-                    adjoint = np.where(unitary[..., None, None], adjoint, np.linalg.inv(u))
-                inverses[key] = adjoint
-            u = inverses[key]
+            if x not in adjoints:
+                adjoints[x] = u.swapaxes(-1, -2).conj()
+            u = adjoints[x]
         # a copy, not the caller's matrix: the result must not alias an input
         out = u.copy() if out is None else out @ u
     return out

@@ -18,7 +18,7 @@ from . import perms, weingarten
 from .errors import (ConvergenceError, ResourceCapError, TheoremViolationError,
                      UnsupportedSizeError, ValidationError)
 from .freegroup import evaluate_word
-from .symgroup import dual_jacobi_trudi
+from .symgroup import dual_jacobi_trudi, mixed_weight
 
 APPLY_VECTOR_CAP = 10_000_000
 DIM_LOWER_BOUND_CONSTANT = math.log(2) / 8
@@ -79,9 +79,11 @@ def sample_tuple(r, n, rng, group="U", batch=None):
 
 
 def _check_draws(u, group):
-    """Every matrix of the (..., n, n) stack is unitary to 1e-12 and, on
-    SU(n), has determinant 1 to 1e-10."""
-    if unitarity_residual(u) >= 1e-12:
+    """Every matrix of the (..., n, n) stack is unitary, max |u* u - 1| below
+    1e-12, and, on SU(n), has determinant 1 to 1e-10."""
+    gram = u.swapaxes(-1, -2).conj() @ u
+    gram -= np.eye(u.shape[-1])
+    if np.abs(gram).max() >= 1e-12:
         raise ValidationError("matrix fails the unitarity residual bound")
     if group == "SU" and np.any(np.abs(np.linalg.det(u) - 1) >= 1e-10):
         raise ValidationError("matrix fails the SU determinant bound")
@@ -95,75 +97,24 @@ def _haar_chunks(samples, r, n, rng, group):
         yield sample_tuple(r, n, rng, group=group, batch=min(HAAR_CHUNK, samples - start))
 
 
-def unitarity_residual(u):
-    """max |u* u - 1| over a matrix, or over every matrix of a (..., n, n)
-    stack."""
-    gram = u.swapaxes(-1, -2).conj() @ u
-    gram -= np.eye(u.shape[-1])
-    return float(np.abs(gram).max())
-
-
 # ---------------------------------------------------------------------------
 # Highest weights, Weyl dimension formula, and character evaluation
-
-
-class HighestWeight:
-    """Weakly decreasing integer n-tuple modulo (1,...,1), stored as the
-    minimal-l1 representative (translate by the lower median)."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        entries = tuple(int(x) for x in entries)
-        if any(entries[i] < entries[i + 1] for i in range(len(entries) - 1)):
-            raise ValidationError("weight entries must be weakly decreasing")
-        n = len(entries)
-        if n:
-            shift = sorted(entries)[(n - 1) // 2]
-            entries = tuple(x - shift for x in entries)
-        self.entries = entries
-
-    @property
-    def n(self):
-        return len(self.entries)
-
-    def l1(self):
-        return sum(abs(x) for x in self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, HighestWeight) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return f"HighestWeight({list(self.entries)})"
-
-
-def mixed_weight(lam, mu, n):
-    """The dominant weight (lambda, 0, ..., 0, -reversed(mu)) in length n."""
-    if lam.length + mu.length > n:
-        raise ValidationError(
-            f"n={n} too small for lambda of length {lam.length} and mu of length {mu.length}")
-    pad = n - lam.length - mu.length
-    return tuple(lam.parts) + (0,) * pad + tuple(-p for p in reversed(mu.parts))
 
 
 def weyl_dim(weight):
     """Irreducible dimension from the Weyl dimension formula, exact integer:
     prod_{i<j} (j - i + L_i - L_j) / (j - i) over the n entries of the
     weight."""
-    entries = weight.entries if isinstance(weight, HighestWeight) else tuple(weight)
-    n = len(entries)
+    n = len(weight)
     num = 1
     den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            num *= (j - i) + entries[i] - entries[j]
+            num *= (j - i) + weight[i] - weight[j]
             den *= j - i
     if num % den:
         raise TheoremViolationError(
-            f"Weyl dimension {num}/{den} is not an integer", details={"weight": list(entries)})
+            f"Weyl dimension {num}/{den} is not an integer", details={"weight": list(weight)})
     return num // den
 
 
@@ -180,18 +131,22 @@ def _log_int(x):
 
 def dim_bounds_check(weight, n):
     """Check exp(c min(|L|_1, n)) <= dim <= exp(|L|_1 log n) with
-    c = log(2)/8; returns the three quantities and raises on violation."""
-    hw = weight if isinstance(weight, HighestWeight) else HighestWeight(weight)
-    if hw.n != n:
+    c = log(2)/8 for a dominant weight of length n; returns the three
+    quantities and raises on violation.  A weight counts up to adding
+    (1, ..., 1), so |L|_1 and the record's `weight` are those of the
+    minimal-l1 representative: the weight less its lower median."""
+    if len(weight) != n:
         raise ValidationError("weight length must equal n")
-    dim = weyl_dim(hw)
-    l1 = hw.l1()
+    shift = sorted(weight)[(n - 1) // 2]
+    entries = [x - shift for x in weight]
+    dim = weyl_dim(weight)
+    l1 = sum(abs(x) for x in entries)
     log_dim = _log_int(dim)
     log_lower = DIM_LOWER_BOUND_CONSTANT * min(l1, n)
     log_upper = l1 * math.log(n)
     record = {
         "n": n,
-        "weight": list(hw.entries),
+        "weight": entries,
         "l1": l1,
         "dim": dim,
         "log_dim": log_dim,
@@ -201,7 +156,7 @@ def dim_bounds_check(weight, n):
     }
     if not record["passed"]:
         raise TheoremViolationError(
-            f"dimension bounds failed for weight {hw.entries} at n={n}", details=record)
+            f"dimension bounds failed for weight {tuple(entries)} at n={n}", details=record)
     return record
 
 
@@ -251,34 +206,6 @@ class ImplicitTensorOperator:
     def adjoint(self):
         return ImplicitTensorOperator(self.dim, self._adjoint, self._apply)
 
-    @classmethod
-    def identity(cls, dim):
-        return cls(dim, lambda v: v.copy(), lambda v: v.copy())
-
-    @classmethod
-    def zero(cls, dim):
-        return cls(dim, lambda v: np.zeros_like(v), lambda v: np.zeros_like(v))
-
-    @classmethod
-    def from_matrix(cls, mat):
-        mat = np.asarray(mat, dtype=complex)
-        mat_h = mat.conj().T
-        op = cls(len(mat), lambda v: mat @ v, lambda v: mat_h @ v)
-        op.matrix = mat
-        return op
-
-    def to_dense(self):
-        d = self.dim
-        if d > 4096:
-            raise ResourceCapError(f"dense realization of dimension {d} refused")
-        out = np.zeros((d, d), dtype=complex)
-        basis = np.zeros(d, dtype=complex)
-        for j in range(d):
-            basis[:] = 0
-            basis[j] = 1
-            out[:, j] = self._apply(basis)
-        return out
-
 
 def tensor_representation(u, k, l):
     """pi0_{k,l}(u) = u^{(x)k} (x) conj(u)^{(x)l} as a matrix-free operator.
@@ -302,11 +229,6 @@ def tensor_representation(u, k, l):
     return ImplicitTensorOperator(n ** (k + l), legs(u.T, u.conj().T), legs(u.conj(), u))
 
 
-def word_representation(w, unitaries, k, l):
-    """pi0_{k,l}(w(u_1, ..., u_r))."""
-    return tensor_representation(evaluate_word(w, unitaries), k, l)
-
-
 @lru_cache(maxsize=None)
 def _perm_gram_inverse(kfact_perms, n):
     """Inverse of the Gram matrix n^#cycles(s t^-1) of the permutation
@@ -320,20 +242,17 @@ def _perm_gram_inverse(kfact_perms, n):
                       for t in kfact_perms] for s in kfact_perms])
 
 
-def invariant_projector(k, l, n):
-    """Orthogonal projector onto U(n)-invariant vectors of the mixed tensor
-    power; the zero operator unless k = l, in which case the invariants are
-    spanned by the k! permutation tensors (rank k! for n >= k).
+def invariant_projector(k, n):
+    """Orthogonal projector onto the U(n)-invariant vectors of the mixed
+    tensor power (C^n)^{(x)k} (x) dual^{(x)k}, k >= 1: the span of the k!
+    permutation tensors (rank k! for n >= k).  With unequal degrees there
+    are no invariants, so `polynomial_operator` projects only when k = l.
 
     The permutation tensor v_sigma has components delta(A = B o sigma), so
     it is the indicator of n^k flat indices.  Only those indices are
     stored: the overlaps <v_sigma, x> are gathers, and the projection
     sum_{s,t} v_s Wg(s t^-1) <v_t, x> adds each weight back on its support.
     """
-    if k != l:
-        return ImplicitTensorOperator.zero(n ** (k + l))
-    if k == 0:
-        return ImplicitTensorOperator.identity(1)
     if k > 4:
         raise UnsupportedSizeError("invariant projector supported for k <= 4")
     sigmas = perms.all_perms(k)
@@ -499,8 +418,9 @@ def polynomial_operator(terms, unitaries, k, l):
     """sum_w coeff * pi_{k,l}(w(U)), with the invariant block projected out
     when k = l (the representation on the orthocomplement)."""
     n = unitaries[0].shape[0]
-    reps = [(complex(coeff), word_representation(w, unitaries, k, l)) for w, coeff in terms]
-    project = invariant_projector(k, l, n)._apply if k == l and k > 0 else None
+    reps = [(complex(coeff), tensor_representation(evaluate_word(w, unitaries), k, l))
+            for w, coeff in terms]
+    project = invariant_projector(k, n)._apply if k == l and k > 0 else None
 
     def apply_fn(vec):
         if project is not None:
@@ -519,7 +439,7 @@ def polynomial_operator(terms, unitaries, k, l):
     return ImplicitTensorOperator(n ** (k + l), apply_fn, adjoint_fn)
 
 
-def strong_convergence_experiment(r, n, k, l, terms, samples, seed, reference=None):
+def strong_convergence_experiment(r, n, k, l, terms, samples, seed, reference):
     """Sample Haar tuples, build the word-polynomial operator in the (k,l)
     tensor representation with invariants removed, and estimate its norm
     against a reduced-free-group reference value."""
@@ -536,9 +456,6 @@ def strong_convergence_experiment(r, n, k, l, terms, samples, seed, reference=No
         raise ValidationError(f"need at least one sample, got {samples}")
     if n ** (k + l) > APPLY_VECTOR_CAP:
         raise ResourceCapError("tensor dimension exceeds apply cap")
-    if reference is None:
-        from . import rwalk
-        reference = rwalk.reduced_norm_lower_bound(terms, r)
     estimates = []
     residuals = []
     for s in range(samples):

@@ -62,10 +62,6 @@ class Polynomial:
         self.nums = nums
         self.den = den
 
-    @classmethod
-    def x(cls):
-        return cls((0, 1))
-
     @property
     def coeffs(self):
         """The coefficients as Fractions, ascending by power."""
@@ -256,14 +252,6 @@ class RationalFunction:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_constant(self):
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValidationError("rational function is not constant")
-        return self.num.leading() if not self.num.is_zero() else Fraction(0)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RationalFunction(other)
@@ -319,12 +307,6 @@ class RationalFunction:
         if d == 0:
             raise ZeroDivisionError(f"pole at {x}")
         return self.num(x) / d
-
-    def valuation_at_infinity(self):
-        """deg(den) - deg(num); decay exponent at infinity.  inf if zero."""
-        if self.num.is_zero():
-            return math.inf
-        return self.den.degree - self.num.degree
 
     def order_at_zero(self):
         if self.num.is_zero():

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (ResourceCapError, TheoremViolationError,
                      UnsupportedSizeError, ValidationError)
-from .freegroup import RankedBall, Word, ball_size
+from .freegroup import RankedBall, Word, _prime_shifts, ball_size, proper_power_mask
 
 GENERAL_CONVOLUTION_STEP_CAP = 20
 RADIAL_EXACT_STEP_CAP = 40
@@ -53,10 +53,6 @@ class WalkMeasure:
         self.contains_identity = any(w.is_identity() for w in probs)
         self.generating = _support_generates(
             [w for w in probs if not w.is_identity()], self.rank)
-
-    @property
-    def reasonable(self):
-        return self.symmetric and self.contains_identity and self.generating
 
     def support_radius(self):
         return max((len(w) for w in self.support), default=0)
@@ -355,65 +351,6 @@ def _right_multiply(buf, lengths, s, size):
     return lengths
 
 
-def _prime_shifts(n):
-    """(n + 1, k) table whose row L holds L / q for each prime q dividing L,
-    then zeros; k >= 1 is the most distinct primes of any L <= n."""
-    cols = [[] for _ in range(n + 1)]
-    for q in range(2, n + 1):
-        if not cols[q]:  # no smaller prime divides q
-            for L in range(q, n + 1, q):
-                cols[L].append(L // q)
-    table = np.zeros((n + 1, max(1, *map(len, cols))), dtype=np.int64)
-    for L, shifts in enumerate(cols):
-        table[L, :len(shifts)] = shifts
-    return table
-
-
-def _vectorized_proper_power(words, lengths, shifts=None):
-    """Boolean mask of which rows (reduced words) are proper powers.
-
-    A row's cyclically reduced core c of length L is a proper power iff it
-    equals its rotation by L/q for some prime q dividing L.  Both the strip
-    of matching end letters and each rotation compare go one letter column
-    at a time, on the rows that still match.  `shifts` is a
-    `_prime_shifts` table covering the longest row; letters past a row's
-    length are never read."""
-    samples, width = words.shape
-    out = np.zeros(samples, dtype=bool)
-    if shifts is None:
-        shifts = _prime_shifts(int(lengths.max(initial=0)))
-    flat = words.reshape(-1)
-    # cyclic reduction: lo and hi are the flat indices of the next end pair
-    strip = np.zeros(samples, dtype=np.int64)
-    rows = np.flatnonzero(lengths >= 3)
-    lo = rows * width
-    hi = lo + lengths[rows] - 1
-    while len(rows):
-        keep = (flat[lo] == -flat[hi]) & (hi - lo >= 2)
-        rows, lo, hi = rows[keep], lo[keep] + 1, hi[keep] - 1
-        strip[rows] += 1
-    core = lengths - 2 * strip
-    # one candidate (row, prime) pair per prime dividing the core length;
-    # every core index below pos equals the letter `shift` further on, and
-    # the core is a power once pos reaches end = start + L - shift
-    pos, shift, end = [], [], []
-    for k in range(shifts.shape[1]):
-        s = shifts[core, k]
-        rows = np.flatnonzero(s)
-        pos.append(rows * width + strip[rows])
-        shift.append(s[rows])
-        end.append(pos[-1] + core[rows] - shift[-1])
-    pos, shift, end = np.concatenate(pos), np.concatenate(shift), np.concatenate(end)
-    while len(pos):
-        same = flat[pos] == flat[pos + shift]
-        pos, shift, end = pos[same] + 1, shift[same], end[same]
-        done = pos == end
-        out[pos[done] // width] = True
-        keep = ~done
-        pos, shift, end = pos[keep], shift[keep], end[keep]
-    return out
-
-
 @dataclass
 class ProperPowerStats:
     steps: int
@@ -448,7 +385,7 @@ def proper_power_stats(measure, steps, samples, seed):
         longest = int(lengths.max())
         if longest >= len(shifts):  # doubling: O(longest word) table work per call
             shifts = _prime_shifts(2 * longest)
-        mask = _vectorized_proper_power(buf, lengths, shifts)
+        mask = proper_power_mask(buf, lengths, shifts)
         hits = int(mask.sum())
         lo, hi = _wilson_interval(hits, samples)
         rows.append({"n": t + 1, "hits": hits, "phat": hits / samples,

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import montecarlo, perms, weingarten
 from .freegroup import parse_word
-from .symgroup import koike_expand, partitions_of
+from .symgroup import KOIKE_SIZE_CAP, koike_expand, partitions_of
 from .wordint import exact_word_moment
 
 # (factors as word strings, n); inverted factors are written as the
@@ -54,10 +54,11 @@ def monomial_agreement(samples, seed):
 
 
 def koike_agreement():
-    """Every expansion with |lambda| + |mu| <= 4; each is checked exactly
-    against the character identity as it is built, and a mismatch raises."""
+    """Every expansion with |lambda| + |mu| <= KOIKE_SIZE_CAP; each is
+    checked exactly against the character identity as it is built, and a
+    mismatch raises."""
     rows = []
-    for total in range(0, 5):
+    for total in range(KOIKE_SIZE_CAP + 1):
         for k in range(total + 1):
             for lam in partitions_of(k):
                 for mu in partitions_of(total - k):

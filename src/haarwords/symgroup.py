@@ -8,8 +8,6 @@ All values are exact integers or Fractions.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 import random
@@ -89,14 +87,6 @@ class Partition:
     def hooks(self):
         conj = self.conjugate().parts
         return [self.parts[i] - j + conj[j] - i - 1 for i, j in self.cells()]
-
-    def dimension(self):
-        """Dimension of the S_k irreducible, by the hook length formula."""
-        k = self.size
-        denom = 1
-        for h in self.hooks():
-            denom *= h
-        return math.factorial(k) // denom
 
     def to_json(self):
         return list(self.parts)
@@ -196,14 +186,6 @@ class CharTable:
 
     def dim(self, lam):
         return self.values[(lam, Partition((1,) * self.k if self.k else ()))]
-
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["lambda\\rho"] + [str(list(r.parts)) for r in self.partitions])
-        for lam in self.partitions:
-            writer.writerow([str(list(lam.parts))] + [self.values[(lam, rho)] for rho in self.partitions])
-        return buf.getvalue()
 
 
 @lru_cache(maxsize=None)
@@ -327,6 +309,15 @@ def elementary_symmetric(x):
     return e
 
 
+def mixed_weight(lam, mu, n):
+    """The dominant weight (lambda, 0, ..., 0, -reversed(mu)) in length n."""
+    if lam.length + mu.length > n:
+        raise ValidationError(
+            f"n={n} too small for lambda of length {lam.length} and mu of length {mu.length}")
+    pad = n - lam.length - mu.length
+    return tuple(lam.parts) + (0,) * pad + tuple(-p for p in reversed(mu.parts))
+
+
 def dual_jacobi_trudi(weight):
     """(c, D) for a weakly decreasing integer weight w of length n >= 1: the
     character with highest weight w is e_n^c det[e_{D_ij}], where c = w_n,
@@ -378,8 +369,7 @@ def _validate_koike(lam, mu, terms):
     k, ell = lam.size, mu.size
     rng = random.Random(_KOIKE_VALIDATION_SEED + 1000 * k + ell)
     for n in range(max(k + ell, 1), max(k + ell, 1) + 4):
-        w = lam.parts + (0,) * (n - lam.length - mu.length) + tuple(-p for p in reversed(mu.parts))
-        shifted = tuple(p + ell for p in w)
+        shifted = tuple(p + ell for p in mixed_weight(lam, mu, n))
         duals = {mu_p: (ell,) * (n - mu_p.length) + tuple(ell - p for p in reversed(mu_p.parts))
                  for _, mu_p in terms}
         for _ in range(2):

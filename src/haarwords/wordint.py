@@ -23,7 +23,7 @@ import numpy as np
 from . import perms
 from .errors import (ResourceCapError, StructureViolationError, TheoremViolationError,
                      UnsupportedSizeError, ValidationError)
-from .freegroup import Word, is_proper_power, whitehead_minimal
+from .freegroup import Word, proper_power_mask, whitehead_minimal
 from .ratfunc import Polynomial, RationalFunction
 from .symgroup import Partition, character, koike_expand
 from .weingarten import common_denominator, lifted_wg
@@ -484,7 +484,9 @@ def decay_order_check(report):
     """Check the vanishing order of E(x) at x = 0 against what the decay
     theory guarantees: order >= ceil(K/6) when the report's word is not a
     proper power, strengthened to order >= K when in addition mu is empty."""
-    proper_power = is_proper_power(report.word) is not None
+    letters = report.word.letters
+    proper_power = bool(proper_power_mask(np.array([letters], dtype=np.int8),
+                                          np.array([len(letters)]))[0])
     mu_empty = report.mu.size == 0
     K = report.K
     required = 0

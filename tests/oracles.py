@@ -1,12 +1,17 @@
 """Reference implementations that only the tests call, shared by more than
 one test file; pytest does not collect this module.
 
+- Cyclic reduction and the KMP proper-power test on Words, the second
+  route to `freegroup.proper_power_mask`.
 - The dense group-algebra layer: exact elements of Q(n)[S_m], the
   relative transposition norm on S_{k+l}, the central projections and
   the Weingarten element z whose tensor action, times the mixed-irrep
   dimension, is the projector onto one copy of V_{lambda,mu}
   (`q_projector`, built as a dense matrix).
-- The polynomial dimension s_lambda(1) of U(n) as a rational function.
+- The polynomial dimension s_lambda(1) of U(n) as a rational function,
+  the hook-length dimension of an S_k irreducible, and the valuation at
+  infinity of a rational function.
+- The dense matrix of a matrix-free operator.
 - The Markov-brothers and epsilon-net checks of the polynomial method, on
   float coefficients.
 """
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,15 +28,67 @@ import numpy as np
 
 from haarwords import perms
 from haarwords.bounds import GRID_SLACK
-from haarwords.errors import (TheoremViolationError, UnsupportedSizeError,
-                              ValidationError)
-from haarwords.montecarlo import ImplicitTensorOperator, mixed_weight, weyl_dim
+from haarwords.errors import (ResourceCapError, TheoremViolationError,
+                              UnsupportedSizeError, ValidationError)
+from haarwords.freegroup import Word
+from haarwords.montecarlo import weyl_dim
 from haarwords.ratfunc import Polynomial, RationalFunction
-from haarwords.symgroup import Partition, char_table
+from haarwords.symgroup import Partition, char_table, mixed_weight
 from haarwords.weingarten import common_denominator, lifted_wg
 
 Z_DEGREE_CAP = 6
 DENSE_PROJECTOR_CAP = 10_000
+
+
+# ---------------------------------------------------------------------------
+# Proper powers
+
+
+@dataclass(frozen=True)
+class CyclicForm:
+    """w = conjugator * core * conjugator^-1 with core cyclically reduced."""
+
+    core: Word
+    conjugator: Word
+
+    def recompose(self):
+        return self.conjugator * self.core * self.conjugator.inverse()
+
+
+def cyclic_reduce(w):
+    """Strip matching end pairs until the core is cyclically reduced."""
+    letters = w.letters
+    lo, hi = 0, len(letters)
+    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
+        lo += 1
+        hi -= 1
+    return CyclicForm(Word(letters[lo:hi], w.rank), Word(letters[:lo], w.rank))
+
+
+def is_proper_power(w):
+    """Return (root, exponent) with exponent >= 2 maximal and root^exponent == w,
+    or None.  The identity is by convention not a proper power."""
+    form = cyclic_reduce(w)
+    core = form.core.letters
+    m = len(core)
+    if m == 0:
+        return None
+    # Smallest period of the cyclically reduced core via the KMP failure
+    # function; a proper power exists iff the period properly divides m.
+    fail = [0] * m
+    k = 0
+    for i in range(1, m):
+        while k and core[i] != core[k]:
+            k = fail[k - 1]
+        if core[i] == core[k]:
+            k += 1
+        fail[i] = k
+    period = m - fail[m - 1]
+    if period == m or m % period != 0:
+        return None
+    exponent = m // period
+    root = form.conjugator * Word(core[:period], w.rank) * form.conjugator.inverse()
+    return root, exponent
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +272,8 @@ def z_element(lam, mu):
     young = {sigma: Fraction(1) for sigma in _young_product_perms(lam.parts, mu.parts, k, ell)}
 
     const = _const_convolve(_const_convolve(p, young, m), p, m)
-    d_lam = lam.dimension() if k else 1
-    d_mu = mu.dimension() if ell else 1
+    d_lam = hook_dimension(lam) if k else 1
+    d_mu = hook_dimension(mu) if ell else 1
     index = Fraction(math.factorial(k), math.prod(math.factorial(x) for x in lam.parts))
     index *= Fraction(math.factorial(ell), math.prod(math.factorial(x) for x in mu.parts))
     scale = index / (d_lam * d_mu)
@@ -241,8 +299,8 @@ def z_element(lam, mu):
 
 
 def q_projector(lam, mu, n):
-    """The mixed-irrep projector: dimension times the tensor action of the
-    Weingarten-based group-algebra element, realized densely."""
+    """The mixed-irrep projector as a dense matrix: dimension times the
+    tensor action of the Weingarten-based group-algebra element."""
     k, l = lam.size, mu.size
     if n < k + l:
         raise ValidationError(f"need n >= k+l = {k + l}")
@@ -264,7 +322,22 @@ def q_projector(lam, mu, n):
         rows = sum(w * p for w, p in zip(weights_row, row_parts))
         cols = sum(w * p for w, p in zip(weights_row, col_parts))
         np.add.at(mat, (rows, cols), float(c) * d_mixed)
-    return ImplicitTensorOperator.from_matrix(mat)
+    return mat
+
+
+def dense(op):
+    """The dense matrix of a matrix-free operator, one column per basis
+    vector."""
+    d = op.dim
+    if d > 4096:
+        raise ResourceCapError(f"dense realization of dimension {d} refused")
+    out = np.zeros((d, d), dtype=complex)
+    basis = np.zeros(d, dtype=complex)
+    for j in range(d):
+        basis[:] = 0
+        basis[j] = 1
+        out[:, j] = op.apply(basis)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +354,23 @@ def schur_dim_poly(lam):
     for h in lam.hooks():
         den *= h
     return RationalFunction(num, Polynomial((den,)))
+
+
+def hook_dimension(lam):
+    """Dimension of the S_k irreducible, by the hook length formula: the
+    second route to `CharTable.dim`."""
+    denom = 1
+    for h in lam.hooks():
+        denom *= h
+    return math.factorial(lam.size) // denom
+
+
+def valuation_at_infinity(rf):
+    """deg(den) - deg(num), the decay exponent of a rational function at
+    infinity; inf for zero."""
+    if rf.num.is_zero():
+        return math.inf
+    return rf.den.degree - rf.num.degree
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from haarwords import bounds, freegroup as fg, montecarlo as mc, rwalk, selftest
 from haarwords import wordint as wi
 from haarwords.symgroup import Partition, partitions_of
 from haarwords.ratfunc import Polynomial, RationalFunction
-from oracles import markov_check, q_projector
+from oracles import dense, markov_check, q_projector
 
 COMM = fg.parse_word("abAB")
 
@@ -36,7 +36,7 @@ def interp_reports():
 def test_criterion_1_weingarten_closed_forms():
     t0 = time.time()
     from haarwords.weingarten import wg
-    n = Polynomial.x()
+    n = Polynomial((0, 1))
     assert wg(2, (1, 1)) == RationalFunction(Polynomial((1,)), Polynomial((-1, 0, 1)))
     assert wg(2, (2,)) == RationalFunction(Polynomial((-1,)), Polynomial((0, -1, 0, 1)))
     rows = selftest.gram_inversion(L_max=4)
@@ -109,13 +109,12 @@ def test_criterion_5_strong_convergence_norms():
 
 def test_criterion_6_projector_identities():
     t0 = time.time()
-    q = q_projector(Partition((1,)), Partition((1,)), 4)
-    m = q.matrix
+    m = q_projector(Partition((1,)), Partition((1,)), 4)
     assert np.max(np.abs(m @ m - m)) < 1e-10
     assert np.max(np.abs(m - m.conj().T)) < 1e-10
     assert abs(np.trace(m) - 15) < 1e-10
     u = mc.sample_tuple(1, 4, mc.substream(20250807, "crit6"))[0]
-    r = mc.tensor_representation(u, 1, 1).to_dense()
+    r = dense(mc.tensor_representation(u, 1, 1))
     assert np.max(np.abs(m @ r - r @ m)) < 1e-10
     t = m.reshape(4, 4, 4, 4)
     assert np.max(np.abs(np.einsum("abuu->ab", t))) < 1e-12
@@ -144,10 +143,9 @@ def test_criterion_7_dimension_bounds():
         for k in range(total + 1):
             for lam in partitions_of(k):
                 for mu in partitions_of(total - k):
-                    hw = mc.HighestWeight(mc.mixed_weight(lam, mu, n))
-                    dim = mc.weyl_dim(hw)
-                    if mc._log_int(dim) < threshold:
-                        assert hw.l1() <= n ** a_exp
+                    rec = mc.dim_bounds_check(mc.mixed_weight(lam, mu, n), n)
+                    if mc._log_int(rec["dim"]) < threshold:
+                        assert rec["l1"] <= n ** a_exp
     report(7, f"Weyl dimension bounds with c=log(2)/8 over {checked} weights, "
               f"n in 4..40, plus the n=30 threshold classifier", time.time() - t0)
 

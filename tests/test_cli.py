@@ -8,6 +8,7 @@ import time
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -201,6 +202,27 @@ def test_strongconv_reproducible(capsys):
     assert out1 == out2
     blob = json.loads(out1)
     assert blob["seed"] == 5 and blob["type"] == "float"
+
+
+def test_strongconv_default_reference_is_the_compression_bound(capsys, monkeypatch):
+    terms = cli._parse_poly("a+A+b+B")
+    want = rwalk.reduced_norm_lower_bound(terms, 2)
+    code, out, _ = run_cli(capsys, "strongconv", "--r", "2", "--n", "6", "--k", "1", "--l", "0",
+                           "--poly", "a+A+b+B", "--samples", "2", "--seed", "3")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["reference"] == want
+    assert blob["deviation"] == float(np.mean(blob["norm_estimates"]) - want)
+    # an --n-list sweep compresses the ball once and shares the reference
+    calls = []
+    bound = rwalk.reduced_norm_lower_bound
+    monkeypatch.setattr(rwalk, "reduced_norm_lower_bound",
+                        lambda terms, r: calls.append(r) or bound(terms, r))
+    code, out, _ = run_cli(capsys, "strongconv", "--r", "2", "--n-list", "6,8", "--k", "1",
+                           "--l", "0", "--poly", "a+A+b+B", "--samples", "1")
+    assert code == 0 and calls == [2]
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [float(row[4]) for row in rows] == [want, want]
 
 
 def test_bounds_gcheck(capsys):

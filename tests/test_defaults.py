@@ -18,6 +18,7 @@ DEFAULTED = {
     ("freegroup.parse_word", "rank"),
     ("freegroup.RankedBall.__init__", "cap"),         # rwalk._compressed_norm, freegroup.ball
     ("freegroup.ball", "cap"),                        # tests/test_freegroup.py
+    ("freegroup.proper_power_mask", "shifts"),        # rwalk.proper_power_stats
     ("montecarlo.sample_tuple", "group"),             # montecarlo._haar_chunks
     ("montecarlo.sample_tuple", "batch"),             # montecarlo._haar_chunks
     ("montecarlo.estimate_norm", "tol"),              # strong_convergence_experiment, rwalk
@@ -26,7 +27,6 @@ DEFAULTED = {
     ("montecarlo.estimate_norm", "rng"),              # strong_convergence_experiment, rwalk
     ("montecarlo.MCResult.within", "k_se"),           # bench/cases.py
     ("montecarlo.mc_expect", "group"),                # bench/cases.py
-    ("montecarlo.strong_convergence_experiment", "reference"),  # cli strongconv --reference
     ("ratfunc.Polynomial.__init__", "coeffs"),        # bounds.g_polynomial
     ("ratfunc.Polynomial.derivative", "order"),       # bounds._g_derivative_float
     ("ratfunc.RationalFunction.__init__", "den"),     # wordint._integrate
@@ -34,7 +34,6 @@ DEFAULTED = {
     ("rwalk._convolve_distribution", "cap"),          # rwalk.spectral_radius
     ("rwalk._convolve_distribution", "stop_at_cap"),  # rwalk.spectral_radius
     ("rwalk.spectral_radius", "ball_radius"),         # bench/cases.py
-    ("rwalk._vectorized_proper_power", "shifts"),     # rwalk.proper_power_stats
     # L_max=3 bounds the cost of test_gram_inversion_catches_one_wrong_weingarten_value
     ("selftest.gram_inversion", "L_max"),
     ("symgroup.Partition.__init__", "parts"),         # cli._parse_partition

@@ -12,9 +12,21 @@ from haarwords import montecarlo as mc
 from haarwords import perms, selftest, weingarten
 from haarwords.errors import ConvergenceError, ValidationError
 from haarwords.symgroup import Partition, koike_expand, partitions_of
-from oracles import q_projector, schur_dim_poly
+from oracles import dense, q_projector, schur_dim_poly
 
 COMM = fg.parse_word("abAB")
+
+
+def matrix_operator(mat):
+    """The ImplicitTensorOperator of a dense matrix."""
+    mat = np.asarray(mat, dtype=complex)
+    mat_h = mat.conj().T
+    return mc.ImplicitTensorOperator(len(mat), lambda v: mat @ v, lambda v: mat_h @ v)
+
+
+def unitarity_residual(u):
+    """max |u* u - 1| over a matrix."""
+    return float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
 
 
 def random_unitary(n, seed):
@@ -23,7 +35,7 @@ def random_unitary(n, seed):
 
 def test_haar_unitary_residual_and_determinism():
     u = mc.sample_tuple(1, 7, np.random.default_rng(0))[0]
-    assert mc.unitarity_residual(u) < 1e-12
+    assert unitarity_residual(u) < 1e-12
     v = mc.sample_tuple(1, 7, np.random.default_rng(0))[0]
     assert np.array_equal(u, v)
 
@@ -51,7 +63,7 @@ def test_special_unitary_determinant_and_mean_trace():
     for _ in range(50):
         v = mc.sample_tuple(1, 3, rng, group="SU")[0]
         assert abs(np.linalg.det(v) - 1) < 1e-10
-        assert mc.unitarity_residual(v) < 1e-12
+        assert unitarity_residual(v) < 1e-12
     vals = np.array([np.trace(mc.sample_tuple(1, 3, rng, group="SU")[0]) for _ in range(20000)])
     se = vals.std() / math.sqrt(len(vals))
     assert abs(vals.mean()) <= 4 * se  # matches the U(3) value 0
@@ -268,12 +280,13 @@ def test_mixed_dimension_consistent_with_expansion():
 
 
 def test_highest_weight_normalization():
-    hw = mc.HighestWeight((3, 1))
-    assert hw.entries == (2, 0) and hw.l1() == 2
-    hw = mc.HighestWeight((1, 0, 0, -1))
-    assert hw.entries == (1, 0, 0, -1)
+    # a weight counts up to (1, ..., 1): the record holds the minimal-l1 one
+    rec = mc.dim_bounds_check((3, 1), 2)
+    assert rec["weight"] == [2, 0] and rec["l1"] == 2
+    rec = mc.dim_bounds_check((1, 0, 0, -1), 4)
+    assert rec["weight"] == [1, 0, 0, -1] and rec["l1"] == 2
     with pytest.raises(ValidationError):
-        mc.HighestWeight((0, 1))
+        mc.dim_bounds_check((1, 0), 3)
 
 
 def test_dim_bounds_check_small():
@@ -316,12 +329,12 @@ def test_tensor_representation_matches_kron(n):
     rng = np.random.default_rng(n)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     for k, l in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)):
-        dense = np.ones((1, 1))
+        kron = np.ones((1, 1))
         for factor in [m] * k + [m.conj()] * l:
-            dense = np.kron(dense, factor)
+            kron = np.kron(kron, factor)
         op = mc.tensor_representation(m, k, l)
-        assert np.max(np.abs(op.to_dense() - dense)) < 1e-12
-        assert np.max(np.abs(op.adjoint().to_dense() - dense.conj().T)) < 1e-12
+        assert np.max(np.abs(dense(op) - kron)) < 1e-12
+        assert np.max(np.abs(dense(op.adjoint()) - kron.conj().T)) < 1e-12
 
 
 def _gram_projector_apply(k, n, vec):
@@ -341,7 +354,7 @@ def _gram_projector_apply(k, n, vec):
 def test_invariant_projector_matches_dense_gram(k):
     rng = np.random.default_rng(k)
     for n in range(k, k + 3):
-        p = mc.invariant_projector(k, k, n)
+        p = mc.invariant_projector(k, n)
         for _ in range(2):
             x = rng.standard_normal(n ** (2 * k)) + 1j * rng.standard_normal(n ** (2 * k))
             assert np.max(np.abs(p.apply(x) - _gram_projector_apply(k, n, x))) < 1e-12
@@ -350,10 +363,10 @@ def test_invariant_projector_matches_dense_gram(k):
 def test_invariant_projector_stores_no_dense_vectors():
     k, n = 3, 12
     x = np.random.default_rng(3).standard_normal(n ** (2 * k)).astype(complex)
-    mc.invariant_projector(k, k, n)     # fills the Weingarten caches
+    mc.invariant_projector(k, n)     # fills the Weingarten caches
     tracemalloc.start()
     try:
-        mc.invariant_projector(k, k, n).apply(x)
+        mc.invariant_projector(k, n).apply(x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -362,13 +375,11 @@ def test_invariant_projector_stores_no_dense_vectors():
 
 def test_invariant_projector_ranks_and_commutation():
     rng = np.random.default_rng(8)
-    z = mc.invariant_projector(1, 2, 4)
-    assert np.max(np.abs(z.to_dense())) == 0
-    p1 = mc.invariant_projector(1, 1, 5)
-    d1 = p1.to_dense()
+    p1 = mc.invariant_projector(1, 5)
+    d1 = dense(p1)
     assert abs(np.trace(d1).real - 1) < 1e-9
-    p2 = mc.invariant_projector(2, 2, 4)
-    d2 = p2.to_dense()
+    p2 = mc.invariant_projector(2, 4)
+    d2 = dense(p2)
     assert abs(np.trace(d2).real - 2) < 1e-9
     assert np.max(np.abs(d2 @ d2 - d2)) < 1e-9
     u = mc.sample_tuple(1, 4, rng)[0]
@@ -380,14 +391,13 @@ def test_invariant_projector_ranks_and_commutation():
 
 
 def test_q_projector_identities():
-    q = q_projector(Partition((1,)), Partition((1,)), 4)
-    m = q.matrix
+    m = q_projector(Partition((1,)), Partition((1,)), 4)
     assert abs(np.trace(m) - 15) < 1e-10
     assert np.max(np.abs(m @ m - m)) < 1e-10
     assert np.max(np.abs(m - m.conj().T)) < 1e-10
     rng = np.random.default_rng(15)
     u = mc.sample_tuple(1, 4, rng)[0]
-    r = mc.tensor_representation(u, 1, 1).to_dense()
+    r = dense(mc.tensor_representation(u, 1, 1))
     assert np.max(np.abs(m @ r - r @ m)) < 1e-10
     t = m.reshape(4, 4, 4, 4)
     assert np.max(np.abs(np.einsum("abuu->ab", t))) < 1e-12
@@ -397,22 +407,22 @@ def test_q_projector_identities():
 def test_q_projector_trace_other_labels():
     q = q_projector(Partition((2,)), Partition(()), 3)
     dim = mc.weyl_dim(mc.mixed_weight(Partition((2,)), Partition(()), 3))
-    assert abs(np.trace(q.matrix) - dim) < 1e-9
+    assert abs(np.trace(q) - dim) < 1e-9
     q = q_projector(Partition((1,)), Partition(()), 5)
-    assert np.max(np.abs(q.matrix - np.eye(5))) < 1e-12
+    assert np.max(np.abs(q - np.eye(5))) < 1e-12
 
 
 def test_estimate_norm_basics():
-    ident = mc.ImplicitTensorOperator.identity(7)
+    ident = matrix_operator(np.eye(7))
     est = mc.estimate_norm(ident, rng=1)
     assert abs(est.value - 1) < 1e-10
-    zero = mc.ImplicitTensorOperator.zero(7)
+    zero = matrix_operator(np.zeros((7, 7)))
     assert mc.estimate_norm(zero, rng=1).value == 0
 
 
 def test_estimate_norm_u_plus_ustar():
     u = mc.sample_tuple(1, 200, np.random.default_rng(123))[0]
-    op = mc.ImplicitTensorOperator.from_matrix(u + u.conj().T)
+    op = matrix_operator(u + u.conj().T)
     est = mc.estimate_norm(op, tol=5e-2, max_iter=3000, rng=5)
     assert 1.9 <= est.value <= 2.0 + 1e-9
 
@@ -421,7 +431,7 @@ def test_estimate_norm_never_exceeds_dense_oracle():
     rng = np.random.default_rng(77)
     for n in (20, 60):
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        op = mc.ImplicitTensorOperator.from_matrix(m)
+        op = matrix_operator(m)
         true = float(np.linalg.svd(m, compute_uv=False)[0])
         est = mc.estimate_norm(op, tol=5e-2, max_iter=4000, rng=3)
         assert est.value <= true + 1e-9
@@ -443,7 +453,7 @@ def test_estimate_norm_brackets_sigma_max():
     for m in (dense, rank_one, clustered):
         sigma_max = float(np.linalg.svd(m, compute_uv=False)[0])
         for tol in (1e-2, 5e-2):
-            est = mc.estimate_norm(mc.ImplicitTensorOperator.from_matrix(m),
+            est = mc.estimate_norm(matrix_operator(m),
                                    tol=tol, rng=9)
             assert est.value <= sigma_max + 1e-9
             assert est.value >= (1 - tol) * sigma_max
@@ -455,7 +465,7 @@ def test_estimate_norm_raises_with_best_estimate():
     m = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
     sigma_max = float(np.linalg.svd(m, compute_uv=False)[0])
     with pytest.raises(ConvergenceError) as info:
-        mc.estimate_norm(mc.ImplicitTensorOperator.from_matrix(m),
+        mc.estimate_norm(matrix_operator(m),
                          max_iter=2, rng=3)
     best = info.value.best_estimate
     assert best.iterations == 2
@@ -467,10 +477,10 @@ def test_polynomial_operator_matches_dense_sum():
     v = random_unitary(5, 45)
     terms = [(fg.parse_word("ab"), 1.5), (fg.parse_word("B"), -0.5j)]
     op = mc.polynomial_operator(terms, (u, v), 1, 1)
-    dense = sum(c * np.kron(m, m.conj()) for c, m in ((1.5, u @ v), (-0.5j, v.conj().T)))
-    want = dense @ (np.eye(25) - mc.invariant_projector(1, 1, 5).to_dense())
-    assert np.max(np.abs(op.to_dense() - want)) < 1e-12
-    assert np.max(np.abs(op.adjoint().to_dense() - want.conj().T)) < 1e-12
+    kron = sum(c * np.kron(m, m.conj()) for c, m in ((1.5, u @ v), (-0.5j, v.conj().T)))
+    want = kron @ (np.eye(25) - dense(mc.invariant_projector(1, 5)))
+    assert np.max(np.abs(dense(op) - want)) < 1e-12
+    assert np.max(np.abs(dense(op.adjoint()) - want.conj().T)) < 1e-12
 
 
 # (n, k, l): Lanczos steps and norm estimate of a+A+b+B at seed 20251017,

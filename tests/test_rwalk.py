@@ -16,14 +16,21 @@ from haarwords import rwalk
 from haarwords.errors import (ResourceCapError, TheoremViolationError, UnsupportedSizeError,
                               ValidationError)
 from haarwords.freegroup import Word
+from oracles import is_proper_power
+
+
+def reasonable(measure):
+    """The paper's reasonable measures: symmetric, with an identity atom,
+    and generating."""
+    return measure.symmetric and measure.contains_identity and measure.generating
 
 
 def test_measure_flags():
     mu = rwalk.WalkMeasure.uniform_generators(2)
     assert mu.symmetric and mu.generating and not mu.contains_identity
-    assert not mu.reasonable
+    assert not reasonable(mu)
     lazy = rwalk.WalkMeasure.lazy_uniform(2)
-    assert lazy.reasonable
+    assert reasonable(lazy)
     half = Fraction(1, 2)
     non_gen = rwalk.WalkMeasure({Word((1,), 2): half, Word((-1,), 2): half}, rank=2)
     assert non_gen.symmetric and not non_gen.generating
@@ -290,7 +297,7 @@ def test_proper_power_stats_matches_exact_enumeration():
     exact = []
     for t in range(1, 7):
         p = sum(prob for w, prob in hist[t].items()
-                if fg.is_proper_power(w) is not None)
+                if is_proper_power(w) is not None)
         exact.append(float(p))
     stats = rwalk.proper_power_stats(mu, steps=6, samples=40000, seed=11)
     for t, row in enumerate(stats.rows):
@@ -311,9 +318,9 @@ def test_vectorized_proper_power_against_reference():
     for i, w in enumerate(words):
         lengths[i] = len(w)
         buf[i, :len(w)] = w.letters
-    mask = rwalk._vectorized_proper_power(buf, lengths)
+    mask = fg.proper_power_mask(buf, lengths)
     for i, w in enumerate(words):
-        assert mask[i] == (fg.is_proper_power(w) is not None)
+        assert mask[i] == (is_proper_power(w) is not None)
 
 
 def _cyclically_reduced(r, picks):
@@ -380,20 +387,20 @@ def test_vectorized_proper_power_matches_kmp_on_walker_rows(case):
     lengths = np.array([len(w) for w in words], dtype=np.int64)
     for i, w in enumerate(words):
         buf[i, :len(w)] = w.letters
-    want = [fg.is_proper_power(w) is not None for w in words]
-    assert rwalk._vectorized_proper_power(buf, lengths).tolist() == want
-    wide = rwalk._prime_shifts(2 * width)
-    assert rwalk._vectorized_proper_power(buf, lengths, wide).tolist() == want
+    want = [is_proper_power(w) is not None for w in words]
+    assert fg.proper_power_mask(buf, lengths).tolist() == want
+    wide = fg._prime_shifts(2 * width)
+    assert fg.proper_power_mask(buf, lengths, wide).tolist() == want
 
 
 def test_prime_shifts_table():
-    table = rwalk._prime_shifts(30)
+    table = fg._prime_shifts(30)
     assert table.shape == (31, 3)
     assert table[30].tolist() == [15, 10, 6]
     assert table[7].tolist() == [1, 0, 0]
     assert table[12].tolist() == [6, 4, 0]
     assert not table[:2].any()
-    assert rwalk._prime_shifts(0).shape == (1, 1)
+    assert fg._prime_shifts(0).shape == (1, 1)
 
 
 def test_walker_cap_raises_before_allocating():
@@ -506,7 +513,7 @@ def test_proper_power_hits_match_word_loop(texts):
     measure = _support_measure(texts, 2)
     stats = rwalk.proper_power_stats(measure, steps=10, samples=800, seed=3)
     for row, gs in zip(stats.rows, _replayed_walks(measure, 10, 800, 3)):
-        assert row["hits"] == sum(fg.is_proper_power(g) is not None for g in gs)
+        assert row["hits"] == sum(is_proper_power(g) is not None for g in gs)
 
 
 def test_proper_power_stats_non_radial_matches_exact():
@@ -516,7 +523,7 @@ def test_proper_power_stats_non_radial_matches_exact():
     stats = rwalk.proper_power_stats(measure, steps=6, samples=40000, seed=23)
     assert stats.return_probabilities == []
     for t, row in enumerate(stats.rows, start=1):
-        exact = float(sum(p for w, p in hist[t].items() if fg.is_proper_power(w) is not None))
+        exact = float(sum(p for w, p in hist[t].items() if is_proper_power(w) is not None))
         se = math.sqrt(max(exact * (1 - exact), 1e-12) / stats.samples)
         assert abs(row["phat"] - exact) <= 5 * se + 1e-9
 

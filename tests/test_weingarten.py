@@ -9,11 +9,11 @@ from haarwords.errors import StructureViolationError, UnsupportedSizeError, Vali
 from haarwords.ratfunc import Polynomial, RationalFunction
 from haarwords.symgroup import Partition, char_table, partitions_of
 from oracles import (SymAlgebraElement, central_projection, norm_kl, schur_dim_poly,
-                     transpositions, z_element)
+                     transpositions, valuation_at_infinity, z_element)
 
 
 def test_wg_closed_forms():
-    n = Polynomial.x()
+    n = Polynomial((0, 1))
     assert wg.wg(1, (0,)) == RationalFunction(Polynomial((1,)), n)
     assert wg.wg(2, (0, 1)) == RationalFunction(Polynomial((1,)), Polynomial((-1, 0, 1)))
     assert wg.wg(2, (1, 0)) == RationalFunction(Polynomial((-1,)), Polynomial((0, -1, 0, 1)))
@@ -156,15 +156,15 @@ def test_central_projections_are_orthogonal_idempotents():
 def test_z_element_smallest_case():
     z = z_element(Partition((1,)), Partition(()))
     assert set(z.coeffs) == {(0,)}
-    assert z.coefficient((0,)) == RationalFunction(Polynomial((1,)), Polynomial.x())
+    assert z.coefficient((0,)) == RationalFunction(Polynomial((1,)), Polynomial((0, 1)))
 
 
 def test_z_element_degree_profile_adjoint_case():
     z = z_element(Partition((1,)), Partition((1,)))
     ident = z.coefficient((0, 1))
     swap = z.coefficient((1, 0))
-    assert ident.valuation_at_infinity() == 2
-    assert swap.valuation_at_infinity() >= 3
+    assert valuation_at_infinity(ident) == 2
+    assert valuation_at_infinity(swap) >= 3
 
 
 @pytest.mark.parametrize("lam,mu", [((1,), (1,)), ((2,), ()), ((2,), (1,)), ((1, 1), (1,))])
@@ -173,7 +173,7 @@ def test_z_element_decay_and_selfadjointness(lam, mu):
     k, ell = lam.size, mu.size
     z = z_element(lam, mu)
     for tau, coeff in z.coeffs.items():
-        assert coeff.valuation_at_infinity() >= k + ell + norm_kl(tau, k, ell)
+        assert valuation_at_infinity(coeff) >= k + ell + norm_kl(tau, k, ell)
         assert z.coefficient(perms.inverse(tau)) == coeff
 
 
