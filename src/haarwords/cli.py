@@ -166,6 +166,8 @@ def _cmd_strongconv(args):
     if args.n is None and not args.n_list:
         raise ValidationError("strongconv needs --n or --n-list")
     n_values = ([int(x) for x in args.n_list.split(",")] if args.n_list else [args.n])
+    for n in n_values:
+        montecarlo.check_experiment_inputs(args.r, n, args.k, args.l, terms, args.samples)
     if reference is None:
         from . import rwalk
         reference = rwalk.reduced_norm_lower_bound(terms, args.r)

@@ -6,6 +6,7 @@ word-integral experiments.
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -101,17 +102,49 @@ def _haar_chunks(samples, r, n, rng, group):
 # Highest weights, Weyl dimension formula, and character evaluation
 
 
+def _runs(weight):
+    """[(value, length)] of the runs of equal entries of a weight, which
+    must be weakly decreasing: the first ascent raises."""
+    runs = []
+    start = 0
+    for value, group in itertools.groupby(weight):
+        if runs and value > runs[-1][0]:
+            raise ValidationError(
+                f"weight must be weakly decreasing: entry {start} = {value} exceeds "
+                f"entry {start - 1} = {runs[-1][0]}")
+        length = len(list(group))
+        runs.append((value, length))
+        start += length
+    return runs
+
+
 def weyl_dim(weight):
     """Irreducible dimension from the Weyl dimension formula, exact integer:
-    prod_{i<j} (j - i + L_i - L_j) / (j - i) over the n entries of the
-    weight."""
-    n = len(weight)
+    prod_{i<j} (j - i + L_i - L_j) / (j - i) over the n entries of a weakly
+    decreasing weight.
+
+    The product is taken over runs of equal entries.  A pair inside a run
+    contributes 1.  For runs a before b with c = L_a - L_b, fix a position
+    of the shorter run; its distances d to the positions of the longer run
+    are D1 <= d <= D2 = D1 + (longer - 1), and the factors telescope:
+    prod (d + c)/d = perm(D2 + c, c) / perm(D1 + c - 1, c).  So a weight
+    with few runs, such as (lambda, 0, ..., 0, -mu^rev), costs a few perm
+    calls of c factors each per pair of runs, whatever n is.
+    """
+    runs = _runs(weight)
+    ends = list(itertools.accumulate(length for _, length in runs))
     num = 1
     den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= (j - i) + weight[i] - weight[j]
-            den *= j - i
+    for a, (va, ma) in enumerate(runs):
+        for b in range(a + 1, len(runs)):
+            vb, mb = runs[b]
+            c = va - vb
+            gap = ends[b - 1] - ends[a]   # positions strictly between the runs
+            shorter, longer = sorted((ma, mb))
+            for d1 in range(gap + 1, gap + 1 + shorter):
+                d2 = d1 + longer - 1
+                num *= math.perm(d2 + c, c)
+                den *= math.perm(d1 + c - 1, c)
     if num % den:
         raise TheoremViolationError(
             f"Weyl dimension {num}/{den} is not an integer", details={"weight": list(weight)})
@@ -137,10 +170,12 @@ def dim_bounds_check(weight, n):
     minimal-l1 representative: the weight less its lower median."""
     if len(weight) != n:
         raise ValidationError("weight length must equal n")
-    shift = sorted(weight)[(n - 1) // 2]
-    entries = [x - shift for x in weight]
+    runs = _runs(weight)
     dim = weyl_dim(weight)
-    l1 = sum(abs(x) for x in entries)
+    shift = weight[n - 1 - (n - 1) // 2]   # the lower median of a decreasing weight
+    l1 = sum(length * abs(value - shift) for value, length in runs)
+    entries = list(itertools.chain.from_iterable(
+        itertools.repeat(value - shift, length) for value, length in runs))
     log_dim = _log_int(dim)
     log_lower = DIM_LOWER_BOUND_CONSTANT * min(l1, n)
     log_upper = l1 * math.log(n)
@@ -439,10 +474,9 @@ def polynomial_operator(terms, unitaries, k, l):
     return ImplicitTensorOperator(n ** (k + l), apply_fn, adjoint_fn)
 
 
-def strong_convergence_experiment(r, n, k, l, terms, samples, seed, reference):
-    """Sample Haar tuples, build the word-polynomial operator in the (k,l)
-    tensor representation with invariants removed, and estimate its norm
-    against a reduced-free-group reference value."""
+def check_experiment_inputs(r, n, k, l, terms, samples):
+    """Raise on the inputs `strong_convergence_experiment` refuses, so a
+    caller can check them before it computes the reference."""
     if r < 1:
         raise ValidationError(f"rank r must be >= 1, got r={r}")
     for w, _ in terms:
@@ -456,6 +490,13 @@ def strong_convergence_experiment(r, n, k, l, terms, samples, seed, reference):
         raise ValidationError(f"need at least one sample, got {samples}")
     if n ** (k + l) > APPLY_VECTOR_CAP:
         raise ResourceCapError("tensor dimension exceeds apply cap")
+
+
+def strong_convergence_experiment(r, n, k, l, terms, samples, seed, reference):
+    """Sample Haar tuples, build the word-polynomial operator in the (k,l)
+    tensor representation with invariants removed, and estimate its norm
+    against a reduced-free-group reference value."""
+    check_experiment_inputs(r, n, k, l, terms, samples)
     estimates = []
     residuals = []
     for s in range(samples):

@@ -9,8 +9,9 @@ one test file; pytest does not collect this module.
   dimension, is the projector onto one copy of V_{lambda,mu}
   (`q_projector`, built as a dense matrix).
 - The polynomial dimension s_lambda(1) of U(n) as a rational function,
-  the hook-length dimension of an S_k irreducible, and the valuation at
-  infinity of a rational function.
+  the Weyl dimension as the product over all pairs, the hook-length
+  dimension of an S_k irreducible, and the valuation at infinity of a
+  rational function.
 - The dense matrix of a matrix-free operator.
 - The Markov-brothers and epsilon-net checks of the polynomial method, on
   float coefficients.
@@ -354,6 +355,23 @@ def schur_dim_poly(lam):
     for h in lam.hooks():
         den *= h
     return RationalFunction(num, Polynomial((den,)))
+
+
+def weyl_dim_pairwise(weight):
+    """The Weyl dimension formula as written: the product of
+    (j - i + L_i - L_j) / (j - i) over all n(n-1)/2 pairs i < j, one big
+    numerator over one big denominator.  The second route to
+    `montecarlo.weyl_dim`, which telescopes over runs of equal entries."""
+    n = len(weight)
+    num = 1
+    den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= (j - i) + weight[i] - weight[j]
+            den *= j - i
+    if num % den:
+        raise TheoremViolationError(f"Weyl dimension {num}/{den} is not an integer")
+    return num // den
 
 
 def hook_dimension(lam):

@@ -307,6 +307,32 @@ def test_dims_check(capsys):
     assert blob["all_passed"] and blob["classifier_ok"]
 
 
+def test_dims_in_the_paper_regime(capsys):
+    # n = 10^4: the weights are a few runs of equal entries, so the Weyl
+    # dimensions cost what they cost at n = 30
+    code, out, _ = run_cli(capsys, "dims", "--n", "10000", "--l1-cap", "8", "--A", "0.5")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["count"] == 434 and blob["all_passed"] and blob["classifier_ok"]
+
+
+def test_strongconv_checks_its_inputs_before_the_reference(capsys, monkeypatch):
+    calls = []
+    bound = rwalk.reduced_norm_lower_bound
+    monkeypatch.setattr(rwalk, "reduced_norm_lower_bound",
+                        lambda terms, r: calls.append(r) or bound(terms, r))
+    code, out, err = run_cli(capsys, "strongconv", "--r", "2", "--n", "0", "--k", "1",
+                             "--l", "0", "--poly", "a+A+b+B")
+    assert code == 2 and out == "" and "n=0" in err
+    code, out, err = run_cli(capsys, "strongconv", "--r", "2", "--n-list", "6,0", "--k", "1",
+                             "--l", "0", "--poly", "a+A+b+B")
+    assert code == 2 and out == "" and "n=0" in err
+    code, out, err = run_cli(capsys, "strongconv", "--r", "-1", "--n", "3", "--k", "1",
+                             "--l", "0", "--poly", "e")
+    assert code == 2 and "rank r must be >= 1, got r=-1" in err
+    assert calls == []
+
+
 def test_validation_exit_codes(capsys):
     code, _, err = run_cli(capsys, "expect", "--word", "a1b", "--lambda", "1", "--n", "5")
     assert code == 2

@@ -1,18 +1,19 @@
+import inspect
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from haarwords import freegroup as fg
 from haarwords import montecarlo as mc
 from haarwords import perms, selftest, weingarten
-from haarwords.errors import ConvergenceError, ValidationError
+from haarwords.errors import ConvergenceError, TheoremViolationError, ValidationError
 from haarwords.symgroup import Partition, koike_expand, partitions_of
-from oracles import dense, q_projector, schur_dim_poly
+from oracles import dense, q_projector, schur_dim_poly, weyl_dim_pairwise
 
 COMM = fg.parse_word("abAB")
 
@@ -256,6 +257,51 @@ def test_weyl_dim_examples():
             assert mc.weyl_dim((k,) + (0,) * (n - 1)) == math.comb(n + k - 1, k)
     for n in range(2, 8):
         assert mc.weyl_dim((1,) + (0,) * (n - 2) + (-1,)) == n * n - 1
+
+
+def test_weyl_dim_closed_forms_at_large_n():
+    n = 10 ** 5
+    for k in range(1, 5):
+        assert mc.weyl_dim((k,) + (0,) * (n - 1)) == math.comb(n + k - 1, k)
+        assert mc.weyl_dim((1,) * k + (0,) * (n - k)) == math.comb(n, k)
+    assert mc.weyl_dim((1,) + (0,) * (n - 2) + (-1,)) == n * n - 1
+
+
+def test_weyl_dim_refuses_an_ascent():
+    with pytest.raises(ValidationError, match="entry 1 = 2 exceeds entry 0 = 0"):
+        mc.weyl_dim((0, 2))
+    with pytest.raises(ValidationError, match="entry 4 = 2 exceeds entry 3 = 1"):
+        mc.weyl_dim((3, 3, 1, 1, 2, 0))
+
+
+def _dominant_weights():
+    return st.lists(st.integers(-6, 6), max_size=40).map(lambda xs: tuple(sorted(xs, reverse=True)))
+
+
+def _agrees_with_pairwise(weyl, weight):
+    try:
+        return weyl(weight) == weyl_dim_pairwise(weight)
+    except TheoremViolationError:
+        return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dominant_weights())
+def test_weyl_dim_matches_the_pairwise_product(weight):
+    assert _agrees_with_pairwise(mc.weyl_dim, weight)
+
+
+@pytest.mark.parametrize("exact,mutant", [
+    ("d2 = d1 + longer - 1", "d2 = d1 + longer"),
+    ("perm(d1 + c - 1, c)", "perm(d1 + c, c)"),
+], ids=["D2-plus-one", "D1-plus-one"])
+def test_pairwise_property_catches_an_off_by_one_telescope(exact, mutant):
+    source = inspect.getsource(mc.weyl_dim)
+    assert source.count(exact) == 1
+    namespace = dict(vars(mc))
+    exec(source.replace(exact, mutant), namespace)
+    find(_dominant_weights(), lambda w: not _agrees_with_pairwise(namespace["weyl_dim"], w),
+         settings=settings(database=None, derandomize=True, max_examples=300))
 
 
 def test_weyl_dim_matches_schur_dim_poly():
